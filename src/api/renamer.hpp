@@ -30,7 +30,8 @@
 // gate-bounded structure (the sharded scale layer) may grant fewer —
 // even zero — when its shards refuse, after refunding any reserved gate
 // capacity exactly. Callers own the retry loop and must back off between
-// rounds (sync::Backoff) instead of busy-looping the refusal path.
+// rounds (sync::Backoff) instead of busy-looping the refusal path, or
+// let get_batch_for (below) wait for them.
 // free_batch frees all k names; it throws on the first bad name, at
 // which point the earlier names in the batch are already freed (callers
 // treating a throw as fatal — every harness here — need no rollback).
@@ -234,8 +235,10 @@ template <typename T>
 inline constexpr bool has_native_get_batch_for_v =
     has_native_get_batch_for<T>::value;
 
-// True when the structure can refuse by deadline natively. For
-// structures without it the free functions below fall back to the
+// True when the structure can refuse by deadline natively; its
+// get_batch_for is then also where refused callers wait (the drive
+// loop's batched retry parks there, not on a spin). For structures
+// without it the free functions below fall back to the
 // untimed ops — correct only where those cannot block (the flat arrays'
 // Get is total below capacity); harnesses that *oversubscribe* demand to
 // force timeouts must gate that on has_deadline_ops_v, because a flat
@@ -322,7 +325,10 @@ inline constexpr bool has_geometry_v = has_geometry<T>::value;
 // many ended in a futex park (parks), and how many deadline-bounded
 // acquisitions (get_for / get_batch_for) expired into a timed-out
 // refusal (timeouts). Harness reports surface all three so the
-// parked-vs-spinning-vs-refused tradeoff is visible, not inferred.
+// parked-vs-spinning-vs-refused tradeoff is visible, not inferred. A
+// structure that can refuse does its own waiting: callers park through
+// get_for / get_batch_for (has_deadline_ops_v), never on a signal of
+// the structure's.
 struct WaitStats {
   std::uint64_t wait_rounds = 0;
   std::uint64_t parks = 0;
@@ -341,21 +347,6 @@ struct has_wait_stats<
 
 template <typename T>
 inline constexpr bool has_wait_stats_v = has_wait_stats<T>::value;
-
-// Optional: T::free_signal() -> sync::FutexWord&, an eventcount every
-// capacity-releasing path signals. Callers that see a refused batch may
-// park on it (prepare_wait, re-attempt, commit_wait) instead of
-// spin-retrying — see bench_util::detail::drive's gate-refusal loop.
-template <typename T, typename = void>
-struct has_free_signal : std::false_type {};
-
-template <typename T>
-struct has_free_signal<
-    T, std::void_t<decltype(std::declval<T&>().free_signal())>>
-    : std::true_type {};
-
-template <typename T>
-inline constexpr bool has_free_signal_v = has_free_signal<T>::value;
 
 // --- RNG dispatch -------------------------------------------------------
 

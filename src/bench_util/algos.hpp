@@ -74,10 +74,10 @@ struct RunResult {
   double throughput_ops_per_sec = 0.0;
   double mean_per_thread_worst = 0.0;  // worst case averaged over threads
   std::uint64_t backup_gets = 0;
-  // Gate-refusal waiting, summed across threads: retry rounds spent in
-  // the drive loop's spin/yield tiers plus whatever the structure itself
-  // reports (api::WaitStats), and futex parks taken once the waits
-  // outlived both tiers.
+  // Gate-refusal waiting: retry rounds the drive loop backed off for
+  // structures without deadline ops, plus what the structure itself
+  // reports (api::WaitStats) — its own retry rounds and the futex parks
+  // taken once its waits outlived the spin and yield tiers.
   std::uint64_t gate_wait_rounds = 0;
   std::uint64_t gate_parks = 0;
   // Caller-observed timed-out refusals (deadline_ns exchanges that
@@ -113,7 +113,6 @@ struct ThreadOutput {
   std::uint64_t ops = 0;
   std::uint64_t backup_gets = 0;
   std::uint64_t wait_rounds = 0;  // batched-retry refusal rounds
-  std::uint64_t parks = 0;        // futex parks on the free signal
   std::uint64_t timeouts = 0;     // deadline_ns exchanges that expired
   // The thread's stash of held names lives here so its header shares the
   // padded cache line with the thread's own counters, not a neighbor's.
@@ -164,6 +163,12 @@ RunResult drive(Array& array, const DriverConfig& d) {
       std::vector<GetResult> got(batch);
       barrier.wait();
       Stopwatch local;
+      // The batched retry loop's wait bound when no per-exchange
+      // deadline is set: the end of a timed run, else forever.
+      const std::uint64_t run_end_ns =
+          timed ? sync::FutexWord::monotonic_now_ns() +
+                      static_cast<std::uint64_t>(d.seconds * 1e9)
+                : api::kNoDeadline;
       if (batch == 1) {
         for (std::uint64_t iter = 0;; ++iter) {
           if (timed) {
@@ -232,64 +237,34 @@ RunResult drive(Array& array, const DriverConfig& d) {
             api::free_batch(array, victims.data(), nfree);
             out.ops += nfree;
           }
-          // A gate-bounded structure may grant the batch partially —
-          // retry the remainder under Backoff instead of busy-looping
-          // the refusal path (oversubscribed runs would otherwise burn
-          // whole timeslices spinning). Structures that publish a free
-          // signal get the third tier too: once the spin and yield
-          // budgets are spent, park on the signal with the eventcount
-          // protocol (register, one re-check grab, then sleep) so a
-          // refusal storm costs a futex wait instead of timeslices.
+          // A gate-bounded structure may grant the batch partially, so
+          // one retry loop tops the exchange up. Structures with deadline
+          // ops wait inside get_batch_for (their own spin/yield/park
+          // ladder) until the exchange's budget, or else the run's end
+          // (timed mode) or forever (ops mode); only an expired budget
+          // is a timed-out refusal — the run ending is not. Structures
+          // without deadline ops cannot wait for us, so their refused
+          // rounds back off here.
           std::size_t want = batch;
-          bool timed_attempt = false;
-          if constexpr (api::has_deadline_ops_v<Array>) {
-            if (d.deadline_ns != 0) {
-              // One whole-exchange deadline: retry partial grants until
-              // the batch fills or the deadline expires, then abandon
-              // the remainder as a timed-out refusal.
-              timed_attempt = true;
-              const std::uint64_t until =
-                  sync::FutexWord::monotonic_now_ns() + d.deadline_ns;
-              while (want != 0) {
-                const std::size_t granted =
-                    api::get_batch_for(array, rng, got.data(), want, until);
-                if (granted == 0) {
-                  ++out.timeouts;
-                  ++out.ops;  // the refused remainder spends loop budget
-                  break;
-                }
-                for (std::size_t j = 0; j < granted; ++j) {
-                  out.trials.record(got[j].probes);
-                  if (got[j].used_backup) ++out.backup_gets;
-                  held.push_back(got[j].name);
-                }
-                out.ops += granted;
-                want -= granted;
-              }
-            }
+          std::uint64_t until = run_end_ns;
+          if (d.deadline_ns != 0) {
+            until = sync::FutexWord::monotonic_now_ns() + d.deadline_ns;
           }
           sync::Backoff backoff;
-          while (!timed_attempt && want != 0) {
-            std::size_t granted =
-                api::get_batch(array, rng, got.data(), want);
-            if constexpr (api::has_free_signal_v<Array>) {
-              if (granted == 0 && backoff.should_park()) {
-                auto& bell = array.free_signal();
-                const std::uint32_t seen = bell.prepare_wait();
-                granted = api::get_batch(array, rng, got.data(), want);
-                if (granted != 0) {
-                  bell.cancel_wait();
-                } else if (timed &&
-                           local.elapsed_seconds() >= d.seconds) {
-                  bell.cancel_wait();
-                  break;
-                } else {
-                  ++out.parks;
-                  // Timed as a backstop; the release paths all signal,
-                  // so the common wake is the eventcount bump.
-                  bell.commit_wait_for(seen, 50'000'000ull);
+          while (want != 0) {
+            std::size_t granted = 0;
+            if constexpr (api::has_deadline_ops_v<Array>) {
+              granted =
+                  api::get_batch_for(array, rng, got.data(), want, until);
+              if (granted == 0) {
+                if (d.deadline_ns != 0) {
+                  ++out.timeouts;
+                  ++out.ops;  // the refused remainder spends loop budget
                 }
+                break;
               }
+            } else {
+              granted = api::get_batch(array, rng, got.data(), want);
             }
             for (std::size_t j = 0; j < granted; ++j) {
               out.trials.record(got[j].probes);
@@ -298,10 +273,12 @@ RunResult drive(Array& array, const DriverConfig& d) {
             }
             out.ops += granted;
             want -= granted;
-            if (want != 0) {
-              if (timed && local.elapsed_seconds() >= d.seconds) break;
-              ++out.wait_rounds;
-              backoff.pause();
+            if constexpr (!api::has_deadline_ops_v<Array>) {
+              if (want != 0) {
+                if (timed && local.elapsed_seconds() >= d.seconds) break;
+                ++out.wait_rounds;
+                backoff.pause();
+              }
             }
           }
         }
@@ -320,7 +297,6 @@ RunResult drive(Array& array, const DriverConfig& d) {
     result.total_ops += out.ops;
     result.backup_gets += out.backup_gets;
     result.gate_wait_rounds += out.wait_rounds;
-    result.gate_parks += out.parks;
     result.timeouts += out.timeouts;
     per_thread_worst.add(static_cast<double>(out.trials.worst_case()));
     // Slowest thread's barrier-to-loop-end time: excludes spawn, join,

@@ -16,19 +16,23 @@
 //   * Caching: Free parks the name in the calling thread's cache (the
 //     underlying slot stays acquired, the name is logically free); Get
 //     pops a recently parked name in O(cache) with no shared-state
-//     traffic. The cache is bounded: overflow flushes a batch of the
-//     oldest names back to their shards. Caches drain on thread exit
-//     (see thread_cache.hpp), on collect(), and when every shard refuses
-//     a Get (parked names are reclaimable capacity — draining restores
+//     traffic. The cache is bounded: a Free that finds it full releases
+//     the name straight to its shard. Caches drain on thread exit (see
+//     thread_cache.hpp), on collect(), and when every shard refuses a
+//     Get (parked names are reclaimable capacity — draining restores
 //     the global progress guarantee).
-//   * Batching: get_batch/free_batch amortize the shared-state traffic
-//     across k names — one gate fetch_add(k) per shard sweep (with an
-//     exact refund on partial refusal), one cache-stack walk to pop or
-//     park the whole batch, and shard-grouped direct releases taking one
-//     gate fetch_sub per run. A batch may be granted partially when
-//     every shard refuses (see the api batch contract); free_batch
-//     validates the whole batch against the held-bitmap before touching
-//     any shared state.
+//   * One path per direction: a single Get or Free is a batch of one.
+//     Every Get runs claim() — one walk down the cache stack, then one
+//     gate fetch_add(k) per shard sweep (with an exact refund on partial
+//     refusal; a single Get still claims through the inner get) — and
+//     every Free runs distribute_freed() — one cache walk, then
+//     shard-grouped direct releases taking one gate fetch_sub per run.
+//     A batch may be granted partially when every shard refuses (see
+//     the api batch contract); free_batch validates the whole batch
+//     against the held-bitmap before touching any shared state.
+//   * Waiting: a refused get/get_for/get_batch_for climbs one
+//     spin/yield/park ladder and sleeps on the FIFO sync::WaitQueue,
+//     which every capacity-releasing path signals.
 //
 // The cache is deliberately not a locked container: each entry ("bin")
 // is a single std::atomic<uint64_t> holding name+1, 0 when empty. The
@@ -52,10 +56,14 @@
 // TasCell array, identical in shape to the LevelArray's own Collect.
 //
 // Happens-before ledger (what makes the above sound):
-//   park(release store of the bin)  ->  steal/pop(acquire exchange):
-//     covers the parker's held-bitmap clear and everything before it;
+//   distribute_freed(release store of the bin) -> steal/pop(acquire
+//     exchange): covers the freer's held-bitmap clear and everything
+//     before it;
 //   drain's inner free(release)     ->  any later inner get(acquire RMW):
 //     covers re-issue of a drained name to another thread;
+//   release path's wake (seq_cst fence) <-> waiter's prepare_wait and
+//     capacity re-probe: a Free either sees the waiter queued or the
+//     waiter's re-probe sees the freed capacity (wait_queue.hpp);
 //   fork/join in the harnesses      ->  reaper frees and final collect.
 #pragma once
 
@@ -86,10 +94,9 @@ struct ShardedConfig {
   // Number of shards S; 0 is promoted to 1.
   std::uint32_t shards = 8;
   // Per-thread free-name cache bins; 0 disables caching (shard affinity
-  // and overflow probing still apply).
+  // and overflow probing still apply). A Free into a full cache goes
+  // straight to its shard.
   std::uint32_t cache_capacity = 16;
-  // Oldest names flushed back to their shards when a cache overflows.
-  std::uint32_t cache_flush_batch = 8;
   // Cache slots available; threads beyond this run uncached (correct,
   // just slower). Slots freed by exited threads are reused.
   std::uint32_t max_threads = 128;
@@ -205,8 +212,8 @@ class ShardedRenamer {
   template <typename Rng>
   GetResult get(Rng& rng) {
     GetResult out;
-    // With no deadline get_for_impl cannot refuse, only block.
-    (void)get_for_impl(rng, out, api::kNoDeadline);
+    // With no deadline the ladder cannot refuse, only block.
+    (void)claim_until(rng, &out, 1, /*single=*/true, api::kNoDeadline);
     return out;
   }
 
@@ -216,180 +223,55 @@ class ShardedRenamer {
   // wait_stats().timeouts.
   template <typename Rng>
   bool get_for(Rng& rng, GetResult& out, std::uint64_t deadline_ns) {
-    return get_for_impl(rng, out, deadline_ns);
+    return claim_until(rng, &out, 1, /*single=*/true, deadline_ns) != 0;
   }
 
-  // Batch claim: pop parked names in one walk down the cache stack, then
-  // reserve each shard's gate with a single fetch_add(k) — refunding the
-  // unused remainder exactly on partial refusal — and claim the accepted
-  // count through the inner structure's own batch surface (the gate
-  // reservation is what lets the inner total claim run to completion).
-  // May grant fewer than k (even zero) when every shard refuses after a
-  // cache drain: partial batches hand the retry decision to the caller
-  // instead of spinning here, which is the api batch contract.
+  // Batch claim: one claim() attempt (see there). May grant fewer than k
+  // (even zero) when every shard refuses after a cache drain: partial
+  // batches hand the retry decision to the caller instead of spinning
+  // here, which is the api batch contract.
   template <typename Rng>
   std::size_t get_batch(Rng& rng, GetResult* out, std::size_t k) {
-    if (k == 0) return 0;
-    detail::CacheSlot* cache =
-        config_.cache_capacity != 0 ? cache_slot() : nullptr;
-    std::size_t granted = 0;
-    if (cache != nullptr) {
-      granted = pop_parked_batch(*cache, out, k);
-      if (granted == k) return granted;
-    }
-    const std::uint32_t home =
-        cache != nullptr ? cache->home_shard : hashed_home();
-    const std::size_t first_shared = granted;
-    bool drained = false;
-    for (;;) {
-      std::uint32_t refusals = 0;
-      for (std::uint32_t i = 0; i < config_.shards && granted < k; ++i) {
-        const std::uint32_t s = ring(home, i);
-        detail::ShardCounters& count = *counts_[s];
-        const std::uint64_t want = k - granted;
-        const std::uint64_t prev =
-            count.occupancy.fetch_add(want, std::memory_order_relaxed);
-        const std::uint64_t room = prev < gates_[s] ? gates_[s] - prev : 0;
-        const std::uint64_t accepted = room < want ? room : want;
-        if (accepted < want) {
-          // Exact refund of the unclaimable remainder; the gate never
-          // drifts past what this sweep actually takes.
-          count.occupancy.fetch_sub(want - accepted,
-                                    std::memory_order_relaxed);
-          count.refusals.fetch_add(1, std::memory_order_relaxed);
-          ++refusals;
-        }
-        if (accepted == 0) continue;
-        std::size_t got = 0;
-        try {
-          got = api::get_batch(*shards_[s], rng, out + granted,
-                               static_cast<std::size_t>(accepted));
-        } catch (...) {
-          count.occupancy.fetch_sub(accepted, std::memory_order_relaxed);
-          throw;
-        }
-        if (got < accepted) {
-          count.occupancy.fetch_sub(accepted - got,
-                                    std::memory_order_relaxed);
-        }
-        count.shared_gets.fetch_add(got, std::memory_order_relaxed);
-        for (std::size_t g = 0; g < got; ++g) {
-          GetResult inner = out[granted + g];
-          out[granted + g] = grant(
-              (static_cast<std::uint64_t>(s) << stride_shift_) | inner.name,
-              inner.probes, inner);
-        }
-        granted += got;
-      }
-      if (granted > first_shared && refusals != 0) {
-        // Same accounting as get(): overflow probes past full shards ride
-        // on the sweep's first shard-claimed result.
-        out[first_shared].probes += refusals;
-      }
-      if (granted > 0) return granted;
-      if (drained) return 0;
-      // Every shard refused and the cache had nothing: parked names are
-      // the reclaimable capacity — drain once, sweep again, and only
-      // then report the refusal upward.
-      drain_caches();
-      drained = true;
-    }
+    return k == 0 ? 0 : claim(rng, out, k, /*single=*/false);
   }
 
-  // Bounded-wait batch claim: retries get_batch through the same
-  // spin/yield/park ladder as get_for until *something* is granted or
-  // the deadline passes. Returns the granted count — a partial grant
-  // returns immediately (the api batch contract hands the top-up retry
-  // to the caller); 0 means the deadline expired with every shard at
-  // its bound (counted in wait_stats().timeouts).
+  // Bounded-wait batch claim: the get_for ladder around claim(). Returns
+  // the granted count — a partial grant returns immediately (the api
+  // batch contract hands the top-up retry to the caller); 0 means the
+  // deadline expired with every shard at its bound (counted in
+  // wait_stats().timeouts).
   template <typename Rng>
   std::size_t get_batch_for(Rng& rng, GetResult* out, std::size_t k,
                             std::uint64_t deadline_ns) {
-    if (k == 0) return 0;
-    sync::Backoff backoff;
-    bool handoff = false;
-    for (;;) {
-      const std::size_t granted = get_batch(rng, out, k);
-      if (granted != 0) return granted;
-      gate_wait_rounds_.fetch_add(1, std::memory_order_relaxed);
-      if (deadline_ns != api::kNoDeadline &&
-          sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
-      }
-      if (!backoff.should_park()) {
-        backoff.pause();
-        continue;
-      }
-      sync::WaitQueue::Waiter waiter;
-      wait_queue_.prepare_wait(waiter, handoff);
-      if (probe_capacity()) {
-        wait_queue_.cancel_wait(waiter);
-        continue;
-      }
-      gate_parks_.fetch_add(1, std::memory_order_relaxed);
-      if (wait_queue_.commit_wait(waiter, deadline_ns) ==
-          sync::WaitResult::kTimedOut) {
-        gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return 0;
-      }
-      handoff = true;  // granted a wake: keep queue position on re-park
-    }
+    return k == 0 ? 0 : claim_until(rng, out, k, /*single=*/false,
+                                    deadline_ns);
   }
 
-  void free(std::uint64_t name) {
-    if (name >= total_slots_ ||
-        (name & (stride_ - 1)) >=
-            local_bounds_[static_cast<std::size_t>(name >> stride_shift_)]) {
-      throw std::out_of_range("ShardedRenamer::free: name out of range");
-    }
-    // Only the holder may free, so the read is race-free (same argument
-    // as LevelArray::free); parked names have this bit clear, so a
-    // double free of a parked name fails here, loudly.
-    if (!held_[name].held()) {
-      throw std::logic_error(
-          "ShardedRenamer::free: name not held (double free?)");
-    }
-    held_[name].release();
-    if (config_.cache_capacity != 0) {
-      if (detail::CacheSlot* cache = cache_slot()) {
-        park(*cache, name);
-        notify_one_release();
-        return;
-      }
-    }
-    release_to_shard(name);
-    counts_[static_cast<std::size_t>(name >> stride_shift_)]
-        ->direct_frees.fetch_add(1, std::memory_order_relaxed);
-    notify_one_release();
-  }
+  void free(std::uint64_t name) { free_batch(&name, 1); }
 
   // Batch free: validate and clear every held bit first — catching
   // out-of-range names, double frees, and duplicates inside the batch —
-  // then distribute the whole batch at once: one walk parks into the
-  // cache with a single stats update, and the overflow releases straight
-  // to the shards in shard-grouped runs so each gate takes one fetch_sub
-  // per run instead of one per name. On a bad name the already-cleared
-  // prefix is distributed before the throw, so a throwing batch has
-  // freed exactly the names before the one it reports (the api batch
-  // contract, matching the single-op fallback loop).
+  // then distribute the whole batch at once. On a bad name the
+  // already-cleared prefix is distributed before the throw, so a
+  // throwing batch has freed exactly the names before the one it
+  // reports (the api batch contract, matching the single-op fallback
+  // loop).
   void free_batch(const std::uint64_t* names, std::size_t k) {
     std::size_t cleared = 0;
     try {
       for (; cleared < k; ++cleared) {
         const std::uint64_t name = names[cleared];
-        if (name >= total_slots_ ||
-            (name & (stride_ - 1)) >=
-                local_bounds_[static_cast<std::size_t>(name >>
-                                                       stride_shift_)]) {
-          throw std::out_of_range(
-              "ShardedRenamer::free_batch: name out of range");
+        if (!routes(name)) {
+          throw std::out_of_range("ShardedRenamer::free: name out of range");
         }
+        // Only the holder may free, so the read is race-free (same
+        // argument as LevelArray::free); parked names have this bit
+        // clear, so a double free of a parked name fails here, loudly.
         // Clearing as we validate is also the duplicate detector: the
         // second occurrence of a name inside the batch reads clear here.
         if (!held_[name].held()) {
           throw std::logic_error(
-              "ShardedRenamer::free_batch: name not held (double free?)");
+              "ShardedRenamer::free: name not held (double free?)");
         }
         held_[name].release();
       }
@@ -410,9 +292,7 @@ class ShardedRenamer {
   // ShardedStats::collect_drains, not cache_drains, so the
   // drain-pressure metric still measures capacity pressure alone.
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    drain_bins(bins_.data(), bins_.size());
-    collect_drains_.fetch_add(1, std::memory_order_relaxed);
-    notify_bulk_release();
+    drain_all(collect_drains_);
     return peek_held(out);
   }
 
@@ -450,15 +330,7 @@ class ShardedRenamer {
   // Flush every thread's parked names back to their shards. Safe against
   // concurrent owners (bins hand off by exchange); called by collect(),
   // the global-miss path, thread exit, and tests.
-  void drain_caches() const {
-    drain_bins(bins_.data(), bins_.size());
-    drains_.fetch_add(1, std::memory_order_relaxed);
-    notify_bulk_release();
-  }
-
-  // The eventcount every capacity-releasing path signals; gate-refused
-  // callers (see get() above and bench_util::detail::drive) park on it.
-  sync::FutexWord& free_signal() const { return free_signal_; }
+  void drain_caches() const { drain_all(drains_); }
 
   api::WaitStats wait_stats() const {
     api::WaitStats stats;
@@ -500,8 +372,7 @@ class ShardedRenamer {
   template <typename I = Inner>
   auto adopt_held(std::uint64_t name) -> std::void_t<
       decltype(std::declval<I&>().adopt_held(std::uint64_t{}))> {
-    const auto s = static_cast<std::size_t>(name >> stride_shift_);
-    if (name >= total_slots_ || (name & (stride_ - 1)) >= local_bounds_[s]) {
+    if (!routes(name)) {
       throw std::out_of_range(
           "ShardedRenamer::adopt_held: name does not route to any shard "
           "slot in this configuration");
@@ -510,6 +381,7 @@ class ShardedRenamer {
       throw std::logic_error(
           "ShardedRenamer::adopt_held: name already held (duplicate name)");
     }
+    const auto s = static_cast<std::size_t>(name >> stride_shift_);
     detail::ShardCounters& count = *counts_[s];
     if (count.occupancy.fetch_add(1, std::memory_order_relaxed) >=
         gates_[s]) {
@@ -532,12 +404,15 @@ class ShardedRenamer {
   static ShardedConfig sanitized(ShardedConfig config) {
     if (config.shards == 0) config.shards = 1;
     if (config.max_threads == 0) config.max_threads = 1;
-    if (config.cache_flush_batch == 0) config.cache_flush_batch = 1;
-    if (config.cache_flush_batch > config.cache_capacity &&
-        config.cache_capacity != 0) {
-      config.cache_flush_batch = config.cache_capacity;
-    }
     return config;
+  }
+
+  // Does `name` address a real slot: inside the name space and below its
+  // shard's local bound (the stride pads every shard to a power of two).
+  bool routes(std::uint64_t name) const {
+    return name < total_slots_ &&
+           (name & (stride_ - 1)) <
+               local_bounds_[static_cast<std::size_t>(name >> stride_shift_)];
   }
 
   std::uint32_t ring(std::uint32_t home, std::uint32_t step) const {
@@ -557,8 +432,8 @@ class ShardedRenamer {
 #endif
   }
 
-  GetResult grant(std::uint64_t name, std::uint32_t probes,
-                  GetResult from_inner = GetResult{}) {
+  // Mark `name` logically held and return `result` renamed to it.
+  GetResult grant(std::uint64_t name, GetResult result) {
     if (held_[name].held()) {
       // Either an inner structure issued a name it already issued, or a
       // cache bin handed out a name twice — both corrupt occupancy.
@@ -566,76 +441,37 @@ class ShardedRenamer {
                              std::to_string(name));
     }
     held_[name].mark_held();
-    GetResult result = from_inner;
     result.name = name;
-    result.probes = probes;
     return result;
   }
 
-  // The one Get slow path (get and get_for are thin wrappers): cache
-  // pop, then shard sweep, then the spin/yield/park ladder. Returns
-  // false only on a timed-out refusal (impossible with kNoDeadline).
+  // The one wait ladder (get, get_for and get_batch_for all run it):
+  // retry claim() — which already drains the caches when every shard
+  // refuses — until it grants something or the deadline passes. Back
+  // off between rounds: a refusal storm can also be transient gate
+  // reservations by peers who need the timeslice to finish. Once the
+  // spin/yield tiers are exhausted (genuine oversubscription at the
+  // contention bound), park on the FIFO wait queue instead of burning
+  // CPU: register as a waiter first, re-probe, and only then sleep —
+  // the eventcount protocol, so a Free between the probe and the sleep
+  // wakes us immediately (zero lost wakeups; see wait_queue.hpp). Single
+  // Frees wake exactly the oldest waiter (wake-one + handoff: a woken
+  // waiter that loses the sweep race re-enqueues at the *front*), so
+  // starvation is bounded by queue position instead of scheduler luck.
+  // Returns 0 only on a timed-out refusal (impossible with kNoDeadline).
   template <typename Rng>
-  bool get_for_impl(Rng& rng, GetResult& out, std::uint64_t deadline_ns) {
-    detail::CacheSlot* cache =
-        config_.cache_capacity != 0 ? cache_slot() : nullptr;
-    if (cache != nullptr) {
-      const std::uint64_t token = pop_parked(*cache);
-      if (token != 0) {
-        out = grant(token - 1, /*probes=*/1);
-        return true;
-      }
-    }
-    const std::uint32_t home =
-        cache != nullptr ? cache->home_shard : hashed_home();
-    std::uint32_t refusals = 0;
+  std::size_t claim_until(Rng& rng, GetResult* out, std::size_t k,
+                          bool single, std::uint64_t deadline_ns) {
     sync::Backoff backoff;
     bool handoff = false;
     for (;;) {
-      for (std::uint32_t i = 0; i < config_.shards; ++i) {
-        const std::uint32_t s = ring(home, i);
-        detail::ShardCounters& count = *counts_[s];
-        if (count.occupancy.fetch_add(1, std::memory_order_relaxed) >=
-            gates_[s]) {
-          count.occupancy.fetch_sub(1, std::memory_order_relaxed);
-          count.refusals.fetch_add(1, std::memory_order_relaxed);
-          ++refusals;
-          continue;
-        }
-        GetResult result;
-        try {
-          result = shards_[s]->get(rng);
-        } catch (...) {
-          count.occupancy.fetch_sub(1, std::memory_order_relaxed);
-          throw;
-        }
-        count.shared_gets.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t name =
-            (static_cast<std::uint64_t>(s) << stride_shift_) | result.name;
-        result.probes += refusals;
-        out = grant(name, result.probes, result);
-        return true;
-      }
-      // Every shard refused: parked names are the reclaimable capacity.
-      // Drain them back to the shards and retry — with true holds below
-      // the contention bound, some shard must then accept. Back off
-      // between rounds: a refusal storm can also be transient gate
-      // reservations by peers who need the timeslice to finish. Once the
-      // spin/yield tiers are exhausted (genuine oversubscription at the
-      // contention bound), park on the FIFO wait queue instead of
-      // burning CPU: register as a waiter first, re-probe, and only then
-      // sleep — the eventcount protocol, so a Free between the probe and
-      // the sleep wakes us immediately (zero lost wakeups; see
-      // wait_queue.hpp). Single Frees wake exactly the oldest waiter
-      // (wake-one + handoff: a woken waiter that loses the sweep race
-      // re-enqueues at the *front*), so starvation is bounded by queue
-      // position instead of scheduler luck.
-      drain_caches();
+      const std::size_t granted = claim(rng, out, k, single);
+      if (granted != 0) return granted;
       gate_wait_rounds_.fetch_add(1, std::memory_order_relaxed);
       if (deadline_ns != api::kNoDeadline &&
           sync::FutexWord::monotonic_now_ns() >= deadline_ns) {
         gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        return 0;
       }
       if (!backoff.should_park()) {
         backoff.pause();
@@ -651,25 +487,90 @@ class ShardedRenamer {
       if (wait_queue_.commit_wait(waiter, deadline_ns) ==
           sync::WaitResult::kTimedOut) {
         gate_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        return 0;
       }
       handoff = true;  // granted a wake: keep queue position on re-park
     }
   }
 
-  // Release notification, both flavors. Internal waiters sleep on the
-  // FIFO wait_queue_ (wake-one keeps releases from stampeding the whole
-  // queue at one freed slot); external callers — the drive loop parked
-  // via free_signal() — still sleep on the plain eventcount, so every
-  // release signals both. Both no-waiter fast paths are fence+load.
-  void notify_one_release() const {
-    wait_queue_.wake_one();
-    free_signal_.signal();
+  // One claim attempt for 1 <= k names: pop parked names in one walk
+  // down the cache stack, then sweep the shards from the home shard. If
+  // that grants nothing, every shard refused and the cache was empty:
+  // parked names are the reclaimable capacity, so drain every cache once
+  // and sweep again — with true holds below the contention bound, some
+  // shard must then accept.
+  template <typename Rng>
+  std::size_t claim(Rng& rng, GetResult* out, std::size_t k, bool single) {
+    detail::CacheSlot* cache =
+        config_.cache_capacity != 0 ? cache_slot() : nullptr;
+    std::size_t granted = 0;
+    if (cache != nullptr) {
+      granted = pop_parked_batch(*cache, out, k);
+      if (granted == k) return granted;
+    }
+    const std::uint32_t home =
+        cache != nullptr ? cache->home_shard : hashed_home();
+    granted = sweep(rng, home, out, granted, k, single);
+    if (granted != 0) return granted;
+    drain_caches();
+    return sweep(rng, home, out, 0, k, single);
   }
 
-  void notify_bulk_release() const {
-    wait_queue_.wake_all();
-    free_signal_.signal();
+  // Claim names [granted, k) from the shards in ring order from `home`.
+  // Each shard's gate takes one fetch_add of the whole remainder and
+  // refunds exactly what it cannot accept, so it never drifts past what
+  // the sweep takes; the gate reservation is what lets the inner total
+  // claim run to completion. `single` claims through the inner get, not
+  // the inner batch surface: LevelArray's batch claim probes 8-slot
+  // windows, which would change the paper's per-Get probe counts.
+  // Overflow probes past full shards ride on the sweep's first
+  // shard-claimed result. Returns the new granted count.
+  template <typename Rng>
+  std::size_t sweep(Rng& rng, std::uint32_t home, GetResult* out,
+                    std::size_t granted, std::size_t k, bool single) {
+    const std::size_t first_shared = granted;
+    std::uint32_t refusals = 0;
+    for (std::uint32_t i = 0; i < config_.shards && granted < k; ++i) {
+      const std::uint32_t s = ring(home, i);
+      detail::ShardCounters& count = *counts_[s];
+      const std::uint64_t want = k - granted;
+      const std::uint64_t prev =
+          count.occupancy.fetch_add(want, std::memory_order_relaxed);
+      const std::uint64_t room = prev < gates_[s] ? gates_[s] - prev : 0;
+      const std::uint64_t accepted = room < want ? room : want;
+      if (accepted < want) {
+        count.occupancy.fetch_sub(want - accepted, std::memory_order_relaxed);
+        count.refusals.fetch_add(1, std::memory_order_relaxed);
+        ++refusals;
+      }
+      if (accepted == 0) continue;
+      std::size_t got = 1;
+      try {
+        if (single) {
+          out[granted] = shards_[s]->get(rng);
+        } else {
+          got = api::get_batch(*shards_[s], rng, out + granted,
+                               static_cast<std::size_t>(accepted));
+        }
+      } catch (...) {
+        count.occupancy.fetch_sub(accepted, std::memory_order_relaxed);
+        throw;
+      }
+      if (got < accepted) {
+        count.occupancy.fetch_sub(accepted - got, std::memory_order_relaxed);
+      }
+      count.shared_gets.fetch_add(got, std::memory_order_relaxed);
+      const std::uint64_t base = static_cast<std::uint64_t>(s)
+                                 << stride_shift_;
+      for (std::size_t g = granted; g < granted + got; ++g) {
+        out[g] = grant(base | out[g].name, out[g]);
+      }
+      granted += got;
+    }
+    if (granted > first_shared && refusals != 0) {
+      out[first_shared].probes += refusals;
+    }
+    return granted;
   }
 
   // Release `name`'s underlying slot back to its shard. Gate decrement
@@ -679,6 +580,14 @@ class ShardedRenamer {
     const std::uint32_t s = static_cast<std::uint32_t>(name >> stride_shift_);
     shards_[s]->free(name & (stride_ - 1));
     counts_[s]->occupancy.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  // Steal every thread's bins back to the shards, count the drain in
+  // `counter`, and wake every waiter: the drain may free many slots.
+  void drain_all(la::detail::atomic<std::uint64_t>& counter) const {
+    drain_bins(bins_.data(), bins_.size());
+    counter.fetch_add(1, std::memory_order_relaxed);
+    wait_queue_.wake_all();
   }
 
   // The one copy of the steal protocol: exchange each bin out and
@@ -693,31 +602,12 @@ class ShardedRenamer {
     }
   }
 
-  // Owner-only: pop the most recently parked name still present, walking
-  // down from the stack hint over bins stealers may have emptied. The
-  // exchange races concurrent steals; whoever reads nonzero owns it.
-  std::uint64_t pop_parked(detail::CacheSlot& cache) {
-    la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
-    for (std::uint32_t i = cache.top; i-- > 0;) {
-      if (bins[i].load(std::memory_order_relaxed) == 0) continue;
-      const std::uint64_t token =
-          bins[i].exchange(0, std::memory_order_acquire);
-      if (token != 0) {
-        cache.top = i;
-        cache.hits.store(cache.hits.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-        return token;
-      }
-    }
-    cache.top = 0;
-    return 0;
-  }
-
-  // Owner-only: pop up to k parked names in one walk down the stack —
-  // same exchange-per-bin protocol as pop_parked, but the stack hint and
-  // the hits stat are written once per walk instead of once per name.
+  // Owner-only: pop up to k parked names in one walk down the stack,
+  // most recently parked first, skipping bins stealers have emptied. The
+  // exchange races concurrent steals; whoever reads nonzero owns the
+  // name. The stack hint and the hits stat are written once per walk.
   // After the walk every bin at or above the new top is zero, so the
-  // park invariant is preserved.
+  // stack invariant (see distribute_freed) is preserved.
   std::size_t pop_parked_batch(detail::CacheSlot& cache, GetResult* out,
                                std::size_t k) {
     la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
@@ -729,7 +619,9 @@ class ShardedRenamer {
       const std::uint64_t token =
           bins[i].exchange(0, std::memory_order_acquire);
       if (token != 0) {
-        out[popped++] = grant(token - 1, /*probes=*/1);
+        GetResult hit;
+        hit.probes = 1;
+        out[popped++] = grant(token - 1, hit);
       }
     }
     cache.top = i;
@@ -740,12 +632,15 @@ class ShardedRenamer {
     return popped;
   }
 
-  // Distribute a batch of already-cleared names: fill the cache stack up
-  // to capacity in one walk (per-name park() would re-check overflow and
-  // bump the stats every time), then release the overflow straight to
-  // the shards in shard-grouped runs — inner frees first, then one gate
-  // fetch_sub for the whole run, so the gate keeps upper-bounding the
-  // shard's true holds throughout. Precondition: the held bits for
+  // The one release path (free is a batch of one): push the
+  // already-cleared names onto the cache stack up to capacity in one
+  // walk, then release the overflow straight to the shards in
+  // shard-grouped runs — inner frees first, then one gate fetch_sub for
+  // the whole run, so the gate keeps upper-bounding the shard's true
+  // holds throughout. Stack invariant: every nonzero bin sits below the
+  // owner's `top` (pushes store at top, pops lower top to the bin they
+  // took, steals only zero bins), so bins[top] is known empty and each
+  // push is a single release store. Precondition: the held bits for
   // names[0..count) are cleared and the caller owns the names
   // exclusively; nothing here throws short of real corruption.
   void distribute_freed(const std::uint64_t* names, std::size_t count) {
@@ -781,9 +676,9 @@ class ShardedRenamer {
     // Bulk Free-k releases many slots at once — the one case where
     // waking the whole queue is the point, not a herd.
     if (count == 1) {
-      notify_one_release();
+      wait_queue_.wake_one();
     } else if (count != 0) {
-      notify_bulk_release();
+      wait_queue_.wake_all();
     }
   }
 
@@ -791,8 +686,8 @@ class ShardedRenamer {
   // below their bound cover true free slots; nonzero bins cover parked
   // names (gate-counted but reclaimable via a drain). Relaxed loads are
   // sound inside the eventcount window: a release that this probe misses
-  // happened after prepare_wait registered us, so its signal() bumps the
-  // word and commit_wait returns immediately.
+  // happened after prepare_wait registered us, so its wake sees us
+  // queued and commit_wait returns at once.
   bool probe_capacity() const {
     for (std::uint32_t s = 0; s < config_.shards; ++s) {
       if (counts_[s]->occupancy.load(std::memory_order_relaxed) < gates_[s]) {
@@ -803,50 +698,6 @@ class ShardedRenamer {
       if (bin.load(std::memory_order_relaxed) != 0) return true;
     }
     return false;
-  }
-
-  // Owner-only: park `name` at the stack top. Invariant: every nonzero
-  // bin sits below `top` (park stores at top, pop lowers top to the bin
-  // it took, steals only zero bins), so bins[top] is known empty and the
-  // fast path is a single release store. A saturated stack compacts:
-  // the owner sweeps its bins (exchanging out survivors — steals race
-  // fairly), flushes the oldest batch to the shards if the cache was
-  // genuinely full, and re-lays the rest from the bottom.
-  void park(detail::CacheSlot& cache, std::uint64_t name) {
-    la::detail::atomic<std::uint64_t>* bins = bins_.data() + cache.first;
-    if (cache.top == config_.cache_capacity) {
-      // Allocation-free two-pass compact (free() has already cleared the
-      // held bit, so nothing here may throw short of real corruption).
-      // Pass 1 counts survivors; a racing steal can only shrink the
-      // count after we read it, so "looks full" at worst flushes a batch
-      // a steal had just made unnecessary — bounded and correct.
-      std::uint32_t count = 0;
-      for (std::uint32_t i = 0; i < config_.cache_capacity; ++i) {
-        if (bins[i].load(std::memory_order_relaxed) != 0) ++count;
-      }
-      std::uint32_t to_flush =
-          count == config_.cache_capacity ? config_.cache_flush_batch : 0;
-      // Pass 2: exchange each bin out; release the oldest `to_flush`,
-      // re-lay the rest from the bottom. The write cursor never passes
-      // the read cursor, so it only stores into bins already emptied.
-      std::uint32_t write = 0;
-      for (std::uint32_t i = 0; i < config_.cache_capacity; ++i) {
-        const std::uint64_t token =
-            bins[i].exchange(0, std::memory_order_acquire);
-        if (token == 0) continue;
-        if (to_flush != 0) {
-          --to_flush;
-          release_to_shard(token - 1);
-        } else {
-          bins[write++].store(token, std::memory_order_release);
-        }
-      }
-      cache.top = write;
-    }
-    bins[cache.top].store(name + 1, std::memory_order_release);
-    ++cache.top;
-    cache.parked.store(cache.parked.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
   }
 
   // This thread's cache slot (claiming one on first touch), or nullptr
@@ -899,7 +750,7 @@ class ShardedRenamer {
     detail::CacheSlot& cache = *self->caches_[slot];
     self->drain_bins(self->bins_.data() + cache.first,
                      self->config_.cache_capacity);
-    self->notify_bulk_release();  // the flush may have released capacity
+    self->wait_queue_.wake_all();  // the flush may have released capacity
     cache.top = 0;  // published to the next claimer via claim_lock_
     sync::SpinLockGuard guard(self->claim_lock_);
     self->free_slots_.push_back(slot);
@@ -924,13 +775,10 @@ class ShardedRenamer {
   std::shared_ptr<CacheControl> control_;
   mutable la::detail::atomic<std::uint64_t> drains_{0};
   mutable la::detail::atomic<std::uint64_t> collect_drains_{0};
-  // The blocking tier (see get_for_impl): every release path notifies,
-  // refused getters park. Internal waiters use the ticketed FIFO
-  // wait_queue_ (wake-one + handoff bounds starvation by queue
-  // position); the plain free_signal_ eventcount remains for external
-  // parkers via free_signal(). Mutable because collect()'s drain
-  // releases capacity.
-  mutable sync::FutexWord free_signal_;
+  // The blocking tier (see claim_until): every release path wakes the
+  // ticketed FIFO queue, refused getters park on it (wake-one + handoff
+  // bounds starvation by queue position). Mutable because collect()'s
+  // drain releases capacity.
   mutable sync::WaitQueue wait_queue_;
   mutable la::detail::atomic<std::uint64_t> gate_wait_rounds_{0};
   mutable la::detail::atomic<std::uint64_t> gate_parks_{0};

@@ -397,7 +397,6 @@ std::unique_ptr<MiniSharded> make_sharded(std::uint64_t inner_capacity) {
   la::scale::ShardedConfig config;
   config.shards = 1;
   config.cache_capacity = 1;
-  config.cache_flush_batch = 1;
   config.max_threads = 2;
   return std::make_unique<MiniSharded>(config, [&](std::uint32_t) {
     return std::make_unique<MiniInner>(inner_capacity);
@@ -434,21 +433,29 @@ void check_events(EventTrace& trace, const MiniSharded& renamer,
   require(report.ok(), "check_trace rejected the event trace" + detail);
 }
 
-// Park/pop through the per-thread cache: each worker's second Get must
-// be servable from its own parked name, and the exit flush returns
-// everything — zero logical holds and zero gate drift at the end.
+// Park/pop through the per-thread cache: worker 1 frees two names into
+// its 1-bin cache — the first parks, the second finds the cache full and
+// goes straight to the shard — and its next Get is servable from the
+// parked name. The exit flush returns everything — zero logical holds
+// and zero gate drift at the end.
 LA_VERIFY_CELL(sharded_park_pop,
-               "cache park/pop churn, exit flush, gate accounting") {
-  auto renamer = make_sharded(/*inner_capacity=*/2);
+               "cache park/pop churn, full-cache direct Free, exit flush") {
+  auto renamer = make_sharded(/*inner_capacity=*/3);
   EventTrace trace;
   int rng = 0;
   spawn([&] {
-    for (int i = 0; i < 2; ++i) {
-      const auto g = renamer->get(rng);
-      trace.did_get(1, g.name);
-      trace.will_free(1, g.name);
-      renamer->free(g.name);
-    }
+    const auto a = renamer->get(rng);
+    trace.did_get(1, a.name);
+    const auto b = renamer->get(rng);
+    trace.did_get(1, b.name);
+    trace.will_free(1, a.name);
+    renamer->free(a.name);  // parks: the cache was empty
+    trace.will_free(1, b.name);
+    renamer->free(b.name);  // cache full: released to the shard
+    const auto c = renamer->get(rng);
+    trace.did_get(1, c.name);
+    trace.will_free(1, c.name);
+    renamer->free(c.name);
   });
   spawn([&] {
     const auto g = renamer->get(rng);
@@ -460,7 +467,9 @@ LA_VERIFY_CELL(sharded_park_pop,
   std::vector<std::uint64_t> names;
   require(renamer->collect(names) == 0, "logical holds leaked");
   require(renamer->gate_occupancy(0) == 0, "gate reservation drifted");
-  check_events(trace, *renamer, /*max_concurrent=*/2);
+  require(renamer->stats().direct_frees >= 1,
+          "no Free found the cache full");
+  check_events(trace, *renamer, /*max_concurrent=*/3);
 }
 
 // Capacity 1 forces the steal path: one worker's parked name is the only

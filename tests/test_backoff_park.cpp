@@ -1,10 +1,10 @@
 // The third backoff tier and the blocked-Get park/wake path it enables:
 // tier transitions of sync::Backoff itself, a ShardedRenamer Get that
-// provably parks on the free signal and is woken by a Free (not by a
-// timeout — we wait for the parks counter before releasing, so a lost
-// wakeup would hang the test into its ctest timeout), and an
+// provably parks on the structure's wait queue and is woken by a Free
+// (not by a timeout — we wait for the parks counter before releasing, so
+// a lost wakeup would hang the test into its ctest timeout), and an
 // oversubscribed batched churn (demand far above the contention bound)
-// that must run to completion through the drive loop's park tier.
+// that must run to completion through the structure's park tier.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -63,11 +63,12 @@ void check_backoff_tiers() {
   CHECK(!backoff.should_park());
 }
 
-// A Get against a fully-held array must park on the free signal and be
-// woken by the Free. The releasing thread waits until the getter has
-// provably parked (wait_stats().parks advances) before freeing, so the
-// wake cannot be explained by the spin or yield tiers: if the futex
-// signal were lost, the getter would sleep and the test would hang.
+// A Get against a fully-held array must park on the structure's wait
+// queue and be woken by the Free. The releasing thread waits until the
+// getter has provably parked (wait_stats().parks advances) before
+// freeing, so the wake cannot be explained by the spin or yield tiers:
+// if the wakeup were lost, the getter would sleep and the test would
+// hang.
 void check_parked_get_woken_by_free() {
   current = "parked-get-woken-by-free";
   Sharded array = make_sharded(2, 4);  // contention bound 8
@@ -115,8 +116,9 @@ void check_parked_get_woken_by_free() {
 // batches of 8 against a contention bound of 24 — steady-state demand
 // (32) structurally exceeds the bound, so refusals are constant and
 // threads cycle through the park tier. Timed mode, because that is the
-// drive loop's oversubscription contract: the retry loop's deadline
-// escape is what guarantees exit even when a full batch never fits.
+// drive loop's oversubscription contract: its retry loop waits at most
+// until the run's end, which guarantees exit even when a full batch
+// never fits.
 void check_oversubscribed_churn_completes() {
   current = "oversubscribed-churn";
   Sharded array = make_sharded(4, 6);  // contention bound 24
@@ -130,8 +132,11 @@ void check_oversubscribed_churn_completes() {
   const la::bench::RunResult result = la::bench::run_churn(array, driver);
   CHECK(result.total_ops > 0);
   // The refusal traffic must be visible in the wait accounting (the
-  // structure's own gate rounds fold in via api::WaitStats).
+  // structure's own gate rounds fold in via api::WaitStats), and the
+  // waits must reach the park tier of the structure's FIFO queue — the
+  // only wait mechanism the drive loop uses for a gate-bounded array.
   CHECK(result.gate_wait_rounds > 0);
+  CHECK(result.gate_parks > 0);
   std::vector<std::uint64_t> leftovers;
   CHECK(array.collect(leftovers) == 0);
 }
