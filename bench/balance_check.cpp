@@ -68,6 +68,8 @@ int main(int argc, char** argv) {
   const auto schedule_kind = opts.get_string("schedule", "uniform");
   const auto sample_every = opts.get_uint("sample-every", 500);
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   std::cout << "# Balance & regularity check: c_i = " << ci << ", schedule = "
             << schedule_kind << ", " << rounds << " rounds/process\n";
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opts.has("csv")) {
+  if (csv) {
     summary.print_csv(std::cout);
     std::cout << "\n";
     reach_table.print_csv(std::cout);
@@ -151,10 +153,6 @@ int main(int argc, char** argv) {
                  "required for the bound to apply; batch-structured "
                  "renamers only)\n";
     reach_table.print(std::cout);
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return 0;
 }

@@ -97,6 +97,8 @@ int main(int argc, char** argv) {
   const auto algos = bench::expand_algos(
       opts.get_string_list("algo", {"level", "random", "linear"}));
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   api::RenamerConfig config;
   config.capacity = static_cast<std::uint64_t>(threads) * holds;
@@ -120,14 +122,10 @@ int main(int argc, char** argv) {
       std::cerr << "warning: skipping " << algo << ": " << e.what() << "\n";
     }
   }
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return 0;
 }

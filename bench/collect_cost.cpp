@@ -54,6 +54,8 @@ int main(int argc, char** argv) {
   const std::string scan = opts.get_string("scan", "word");
   const auto seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
   if (scan != "word" && scan != "byte") {
     std::cerr << "collect_cost: --scan=" << scan
               << " (expected word or byte)\n";
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
                                 static_cast<double>(array.total_slots()));
     for (const auto name : held) array.free(name);
   }
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
@@ -189,7 +191,7 @@ int main(int argc, char** argv) {
     for (const auto name : byte_names) bytes.free(name);
     for (const auto name : bit_names) bits.free(name);
   }
-  if (opts.has("csv")) {
+  if (csv) {
     layout.print_csv(std::cout);
   } else {
     layout.print(std::cout);
@@ -197,10 +199,6 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty() && !report.write_file(json_path, std::cerr)) {
     return 1;
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return 0;
 }

@@ -58,6 +58,8 @@ int main(int argc, char** argv) {
   const auto rng_kind =
       rng::parse_rng_kind(opts.get_string("rng", "marsaglia"));
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   api::RenamerConfig rc;
   rc.capacity = capacity;
@@ -140,7 +142,7 @@ int main(int argc, char** argv) {
           }
         });
 
-        if (opts.has("csv")) {
+        if (csv) {
           table.print_csv(std::cout);
         } else {
           table.print(std::cout);
@@ -158,10 +160,6 @@ int main(int argc, char** argv) {
     // quadratic-memory cap); fail with the reason, not a std::terminate.
     std::cerr << "fig3_healing: " << e.what() << "\n";
     return 1;
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return status;
 }

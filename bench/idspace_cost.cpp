@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
       opts.get_uint_list("idspaces", {1024, 16384, 262144, 1048576});
   const auto reps = opts.get_uint("reps", 300);
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   // The LevelArray reference point: sized by contention, not id space.
   core::LevelArrayConfig config;
@@ -99,15 +101,11 @@ int main(int argc, char** argv) {
                    level_us.mean() > 0 ? id_us.mean() / level_us.mean() : 0.0});
     for (const auto name : names) ids.free(name);
   }
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
   }
   for (const auto name : level_names) level.free(name);
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
-  }
   return 0;
 }

@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
   const auto rng_kind =
       rng::parse_rng_kind(opts.get_string("rng", "marsaglia"));
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   std::cout << "# Long-run stability: " << bench::algo_name(structure) << ", "
             << threads << " threads, " << total_ops
@@ -103,7 +105,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
@@ -117,9 +119,5 @@ int main(int argc, char** argv) {
     if (h.at(v) != 0) histogram.add_row({v, h.at(v)});
   }
   histogram.print(std::cout);
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
-  }
   return 0;
 }

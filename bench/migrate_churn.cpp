@@ -188,6 +188,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(opts.get_uint("ring-depth", 8));
   const std::uint64_t seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
+  opts.reject_unused();
 
   if (threads == 0 || threads > 16) {
     std::fprintf(stderr, "migrate_churn: --threads must be 1..16\n");
@@ -389,10 +390,6 @@ int main(int argc, char** argv) {
         .set("server_pending_parked", stats.pending_parked)
         .set("invariant_failures", static_cast<std::uint64_t>(failures));
     if (!bench_report.write_file(json_path, std::cerr)) return 126;
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
   }
   if (failures == 0) {
     std::printf("migrate_churn: OK\n");

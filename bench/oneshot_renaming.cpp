@@ -48,6 +48,9 @@ int main(int argc, char** argv) {
   const auto ci = opts.get_uint("ci", 1);
   const auto trials = std::max<std::uint64_t>(opts.get_uint("trials", 5), 1);
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  const bool with_splitter = opts.has("with-splitter");
+  opts.reject_unused();
 
   std::cout << "# One-shot renaming: every process performs exactly one Get "
                "(c_i = " << ci << ", " << trials << " repetitions)\n";
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(worst) / loglog, backup});
   }
 
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
     std::cout << "\n";
     occupancy_table.print_csv(std::cout);
@@ -115,7 +118,7 @@ int main(int argc, char** argv) {
     occupancy_table.print(std::cout);
   }
 
-  if (opts.has("with-splitter")) {
+  if (with_splitter) {
     // The deterministic comparator (Moir-Anderson splitter grid) with real
     // threads: worst-case steps grow linearly in n, versus the
     // LevelArray's log log n above.
@@ -159,15 +162,11 @@ int main(int argc, char** argv) {
                               static_cast<std::uint64_t>(steps.max()),
                               grid.namespace_size(), max_name});
     }
-    if (opts.has("csv")) {
+    if (csv) {
       splitter_table.print_csv(std::cout);
     } else {
       splitter_table.print(std::cout);
     }
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return 0;
 }

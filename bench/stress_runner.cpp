@@ -80,6 +80,8 @@ int main(int argc, char** argv) {
   base.rng_kind = rng::parse_rng_kind(opts.get_string("rng", "marsaglia"));
   base.seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   std::cout << "# Stress matrix: " << structures.size() << " structure(s) x "
             << scenarios.size() << " scenario(s), " << base.threads
@@ -186,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
@@ -211,10 +213,6 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty() && !report_json.write_file(json_path, std::cerr)) {
     return 126;
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return failures > 125 ? 125 : failures;
 }

@@ -211,6 +211,7 @@ int main(int argc, char** argv) {
   const std::uint64_t hold = opts.get_uint("hold", 32);
   const std::uint64_t seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
+  opts.reject_unused();
 
   if (clients == 0 || clients > kMaxClients) {
     std::fprintf(stderr, "svc_churn: --clients must be 1..%u\n", kMaxClients);
@@ -409,10 +410,6 @@ int main(int argc, char** argv) {
         .set("gate_parks", baseline.gate_parks)
         .set_object("probes", bench::probe_stats_json(baseline.trials));
     if (!report.write_file(json_path, std::cerr)) return 126;
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
   }
   if (failures == 0) {
     std::printf("svc_churn: OK\n");

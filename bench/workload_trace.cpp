@@ -51,6 +51,8 @@ int main(int argc, char** argv) {
   const auto dists = opts.get_string_list(
       "dists", {"fixed", "uniform", "exponential", "pareto", "bimodal", "zipf"});
   const auto seed = opts.get_uint("seed", 42);
+  const bool csv = opts.has("csv");
+  opts.reject_unused();
 
   // Capacity: steady state holds ~mean_hold names per thread; Pareto's cap
   // can push excursions a few multiples above, so leave generous headroom.
@@ -118,14 +120,10 @@ int main(int argc, char** argv) {
                    merged.worst_case(), merged.p99(), backup_total});
   }
 
-  if (opts.has("csv")) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
-  }
-
-  for (const auto& key : opts.unused_keys()) {
-    std::cerr << "warning: unused flag --" << key << "\n";
   }
   return 0;
 }

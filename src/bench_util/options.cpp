@@ -1,5 +1,8 @@
 #include "bench_util/options.hpp"
 
+#include <cstdio>
+#include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 namespace la::bench {
@@ -73,6 +76,22 @@ std::vector<std::string> split_commas(const std::string& text) {
   return parts;
 }
 
+// A comma-separated list with empty parts dropped, each part parsed by
+// `parse`. An explicitly passed but empty list (e.g. --n=$UNSET) must
+// not silently fall back to the defaults.
+template <typename T, typename Parse>
+std::vector<T> parse_list(const std::string& key, const std::string& text,
+                          Parse parse) {
+  std::vector<T> out;
+  for (const auto& part : split_commas(text)) {
+    if (!part.empty()) out.push_back(parse(part));
+  }
+  if (out.empty()) {
+    throw std::invalid_argument("--" + key + ": expected a non-empty list");
+  }
+  return out;
+}
+
 }  // namespace
 
 Options::Options(int argc, char** argv) {
@@ -129,30 +148,26 @@ std::vector<std::uint64_t> Options::get_uint_list(
     const std::string& key, std::vector<std::uint64_t> def) const {
   const auto* value = lookup(key);
   if (value == nullptr) return def;
-  std::vector<std::uint64_t> out;
-  for (const auto& part : split_commas(*value)) {
-    if (!part.empty()) out.push_back(parse_uint(key, part));
-  }
-  if (out.empty()) {
-    // An explicitly passed but empty list (e.g. --n=$UNSET) must not
-    // silently fall back to the defaults.
-    throw std::invalid_argument("--" + key + ": expected a non-empty list");
-  }
-  return out;
+  return parse_list<std::uint64_t>(key, *value, [&](const std::string& part) {
+    return parse_uint(key, part);
+  });
+}
+
+std::vector<double> Options::get_double_list(
+    const std::string& key, std::vector<double> def) const {
+  const auto* value = lookup(key);
+  if (value == nullptr) return def;
+  return parse_list<double>(key, *value, [&](const std::string& part) {
+    return parse_double(key, part);
+  });
 }
 
 std::vector<std::string> Options::get_string_list(
     const std::string& key, std::vector<std::string> def) const {
   const auto* value = lookup(key);
   if (value == nullptr) return def;
-  std::vector<std::string> out;
-  for (const auto& part : split_commas(*value)) {
-    if (!part.empty()) out.push_back(part);
-  }
-  if (out.empty()) {
-    throw std::invalid_argument("--" + key + ": expected a non-empty list");
-  }
-  return out;
+  return parse_list<std::string>(key, *value,
+                                 [](const std::string& part) { return part; });
 }
 
 std::vector<std::string> Options::unused_keys() const {
@@ -161,6 +176,19 @@ std::vector<std::string> Options::unused_keys() const {
     if (used_.find(key) == used_.end()) out.push_back(key);
   }
   return out;
+}
+
+void Options::reject_unused() const {
+  const auto unused = unused_keys();
+  for (const auto& key : unused) {
+    std::cerr << "error: unknown flag --" << key << " (see --help)\n";
+  }
+  if (unused.empty()) return;
+  // Called before the driver measures anything, so there is no state
+  // to unwind; _Exit (unlike exit) is thread-safe.
+  std::cout.flush();
+  std::fflush(nullptr);
+  std::_Exit(2);
 }
 
 }  // namespace la::bench

@@ -1,7 +1,8 @@
 // Minimal --key=value / --flag command-line parser shared by all bench
-// drivers. Accessors mark keys as used so drivers can warn about typos
-// via unused_keys() — a sweep silently running defaults because of a
-// misspelled flag is the most expensive bug a benchmark can have.
+// drivers. Accessors mark keys as used, and a driver calls
+// reject_unused() once it has read every flag and before it measures
+// anything — a sweep silently running defaults because of a misspelled
+// flag is the most expensive bug a benchmark can have.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +30,16 @@ class Options {
   // Comma-separated lists: --n=1024,4096,16384
   std::vector<std::uint64_t> get_uint_list(
       const std::string& key, std::vector<std::uint64_t> def) const;
+  std::vector<double> get_double_list(const std::string& key,
+                                      std::vector<double> def) const;
   std::vector<std::string> get_string_list(
       const std::string& key, std::vector<std::string> def) const;
 
   // Keys that were passed on the command line but never queried.
   std::vector<std::string> unused_keys() const;
+  // Prints every unused key as an unknown flag and exits with status 2
+  // if there is any; returns otherwise.
+  void reject_unused() const;
 
  private:
   const std::string* lookup(const std::string& key) const;

@@ -44,7 +44,7 @@
 // reuse hot without any cross-bin invariant that steals could break.
 // The hot Free+Get pair therefore costs one atomic RMW (the pop), where
 // a mutex-protected cache costs four (lock+unlock twice) — measured 2.5x
-// on the scaling_sweep churn workload.
+// on the sharded-vs-flat churn workload (churn_sweep).
 //
 // Names are globally unique: global = shard * stride + local, where
 // stride is the max inner slot count rounded up to a power of two (shard
@@ -136,7 +136,7 @@ struct CacheSlot {
 // One shard's gate + statistics, padded together: the gate RMW already
 // owns this line on every shard-path op, so the stat increments ride on
 // it for free instead of bouncing a separate global line (which would
-// bias the very cross-thread traffic scaling_sweep measures).
+// bias the very cross-thread traffic churn_sweep measures).
 struct ShardCounters {
   la::detail::atomic<std::uint64_t> occupancy{0};  // the refusal gate
   la::detail::atomic<std::uint64_t> shared_gets{0};

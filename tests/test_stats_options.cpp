@@ -1,6 +1,6 @@
 // Pins the shared utility layers: Welford, TrialStats, and the Options
-// command-line parser (uint lists, doubles, defaults, --csv, unused-key
-// tracking).
+// command-line parser (uint and double lists, doubles, defaults, --csv,
+// unused-key tracking).
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -83,7 +83,8 @@ int main() {
   {
     std::vector<std::string> args = {"prog",       "--n=1,2,8", "--x=3.5",
                                      "--name=abc", "--csv",     "--stray=1",
-                                     "--dists=a,b"};
+                                     "--dists=a,b", "--fracs=0,0.25,0.9",
+                                     "--none=,"};
     std::vector<char*> argv;
     argv.reserve(args.size());
     for (auto& a : args) argv.push_back(a.data());
@@ -105,6 +106,28 @@ int main() {
 
     const auto strings = opts.get_string_list("dists", {});
     CHECK(strings.size() == 2 && strings[0] == "a" && strings[1] == "b");
+
+    const auto fracs = opts.get_double_list("fracs", {0.5});
+    CHECK(fracs.size() == 3 && fracs[0] == 0.0 && fracs[1] == 0.25 &&
+          fracs[2] == 0.9);
+    const auto frac_defaults = opts.get_double_list("missing4", {2.0, 2.5});
+    CHECK(frac_defaults.size() == 2 && frac_defaults[1] == 2.5);
+    // An explicitly passed but empty list must not fall back to the
+    // defaults, for doubles exactly as for unsigned integers.
+    bool empty_threw = false;
+    try {
+      (void)opts.get_double_list("none", {0.5});
+    } catch (const std::invalid_argument&) {
+      empty_threw = true;
+    }
+    CHECK(empty_threw);
+    bool bad_threw = false;
+    try {
+      (void)opts.get_double_list("dists", {0.5});
+    } catch (const std::invalid_argument&) {
+      bad_threw = true;
+    }
+    CHECK(bad_threw);
 
     // Only --stray was never queried.
     const auto unused = opts.unused_keys();
