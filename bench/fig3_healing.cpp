@@ -10,6 +10,7 @@
 // batch, cell = percentage of that batch's slots occupied.
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -63,7 +64,6 @@ int main(int argc, char** argv) {
 
   api::RenamerConfig rc;
   rc.capacity = capacity;
-  rc.rng_kind = rng_kind;
 
   int status = 1;
   try {
@@ -120,8 +120,10 @@ int main(int argc, char** argv) {
               std::uint64_t{state}, std::uint64_t{ops_done},
               std::string(report.fully_balanced() ? "yes" : "NO")};
           for (std::uint32_t b = 0; b < show_batches; ++b) {
-            row.push_back(100.0 * static_cast<double>(occupancy[b]) /
-                          static_cast<double>(array.geometry().batch(b).size()));
+            row.emplace_back(
+                std::in_place_type<double>,
+                100.0 * static_cast<double>(occupancy[b]) /
+                    static_cast<double>(array.geometry().batch(b).size()));
           }
           table.add_row(std::move(row));
         };

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
   // persistent structure can be anything in the registry.
   api::RenamerConfig rc;
   rc.capacity = mult * threads;
-  rc.rng_kind = rng_kind;
 
   stats::TrialStats cumulative;
   std::uint64_t ops_done = 0;

@@ -13,11 +13,15 @@
 // (registered_structures, accepted-name lists, error messages) is
 // generated from the same tuple, so it cannot drift.
 //
-// The scale layer is registered generically: ShardedEntry<Base> wraps
-// any flat entry as `sharded:<name>` (ShardedRenamer over S instances of
-// the base structure, each holding ceil(capacity / S) of the contention
-// bound), so every bench, the stress matrix, the model fuzz suite, and
-// the sim executor cover the sharded variants with no per-harness code.
+// The registry holds 11 entries: the seven flat structures (the paper's
+// comparison set and its ablations), three `sharded:<name>` entries and
+// one `svc:sharded:level`. Every visit() site compiles its callable once
+// per entry, so the layered entries are only the combinations whose code
+// paths differ: ShardedEntry<Base> wraps a flat entry as ShardedRenamer
+// over S instances of it (each holding ceil(capacity / S) of the
+// contention bound), and the three kept bases span the ways the sharded
+// layer behaves across inners (see the static_asserts under Entries).
+// Other combinations still compose by hand; they just have no name here.
 #pragma once
 
 #include <array>
@@ -214,52 +218,50 @@ struct ShardedEntry {
   }
 };
 
-// --- service variants ---------------------------------------------------
+// --- service variant ----------------------------------------------------
 
-// `svc:sharded:<name>`: the full rename-service daemon stack, in-process
+// `svc:sharded:level`: the full rename-service daemon stack, in-process
 // (svc::ServiceRenamer owns segment + sharded structure + server workers
 // + client, and the harness talks to the client). Every op round-trips
 // the real shared-memory wire protocol, so the whole harness suite
-// doubles as a daemon soak.
-template <typename Base>
+// doubles as a daemon soak. One entry covers the svc code: Server and
+// Client never branch on the inner structure.
 struct SvcEntry {
-  static constexpr auto kNameBuf =
-      concat_names<24>("svc:sharded:", Base::kName);
-  static constexpr std::string_view kName = kNameBuf.view();
-  static constexpr auto kLabelBuf =
-      concat_names<32>("Svc/Sharded/", Base::kLabel);
-  static constexpr std::string_view kLabel = kLabelBuf.view();
-  static constexpr auto kAliasBuf =
-      concat_names<24>("svc-sharded-", Base::kName);
+  static constexpr std::string_view kName = "svc:sharded:level";
+  static constexpr std::string_view kLabel = "Svc/Sharded/LevelArray";
   static constexpr std::array<std::string_view, 1> kAliases = {
-      kAliasBuf.view()};
+      "svc-sharded-level"};
   static constexpr std::string_view kSummary =
-      "svc layer: rename-service daemon over the sharded structure, "
-      "driven through shared-memory SPSC rings";
-  using Structure =
-      svc::ServiceRenamer<typename ShardedEntry<Base>::Structure>;
+      "svc layer: rename-service daemon over sharded:level, driven "
+      "through shared-memory SPSC rings";
+  using Sharded = ShardedEntry<LevelEntry>;
+  using Structure = svc::ServiceRenamer<Sharded::Structure>;
 
   static std::unique_ptr<Structure> make(const RenamerConfig& c) {
-    svc::ServiceConfig config;
-    config.segment.max_clients = c.svc_max_clients;
-    config.segment.ring_depth = c.svc_ring_depth;
-    config.server_threads = c.svc_server_threads;
-    return std::make_unique<Structure>(
-        config, [&c] { return ShardedEntry<Base>::make(c); });
+    return std::make_unique<Structure>(svc::ServiceConfig{},
+                                       [&c] { return Sharded::make(c); });
   }
 };
 
 using Entries =
     std::tuple<LevelEntry, RandomEntry, LinearEntry, SequentialEntry,
                BitmapEntry, IdEntry, SplitterEntry,
-               ShardedEntry<LevelEntry>, ShardedEntry<RandomEntry>,
-               ShardedEntry<LinearEntry>, ShardedEntry<SequentialEntry>,
-               ShardedEntry<BitmapEntry>, ShardedEntry<IdEntry>,
+               // native get_batch + adopt_held inner; the default shape
+               ShardedEntry<LevelEntry>,
+               // api fallback batch loop + adopt_held; the migration target
+               ShardedEntry<LinearEntry>,
+               // no adoption path: the layer is save-only under SFINAE
                ShardedEntry<SplitterEntry>,
-               SvcEntry<LevelEntry>, SvcEntry<RandomEntry>,
-               SvcEntry<LinearEntry>, SvcEntry<SequentialEntry>,
-               SvcEntry<BitmapEntry>, SvcEntry<IdEntry>,
-               SvcEntry<SplitterEntry>>;
+               // the daemon wire protocol over sharded:level
+               SvcEntry>;
+
+// The kept sharded bases span the three inner kinds ShardedRenamer
+// treats differently; dropping one leaves a layer path with no entry.
+static_assert(has_batch_ops_v<LevelEntry::Structure> &&
+              has_adopt_held_v<LevelEntry::Structure>);
+static_assert(!has_batch_ops_v<LinearEntry::Structure> &&
+              has_adopt_held_v<LinearEntry::Structure>);
+static_assert(!has_adopt_held_v<SplitterEntry::Structure>);
 
 inline constexpr std::size_t kEntryCount = std::tuple_size_v<Entries>;
 
@@ -272,7 +274,7 @@ static_assert(is_renamer_v<arrays::BitmapActivityArray>);
 static_assert(is_renamer_v<arrays::IdIndexedArray>);
 static_assert(is_renamer_v<SplitterRenamer>);
 static_assert(is_renamer_v<scale::ShardedRenamer<core::LevelArray>>);
-static_assert(is_renamer_v<scale::ShardedRenamer<arrays::RandomArray>>);
+static_assert(is_renamer_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
 static_assert(is_renamer_v<scale::ShardedRenamer<SplitterRenamer>>);
 // The sharded wrapper must not accidentally expose the batch-occupancy
 // surfaces — per-shard batches are not the paper's Fig. 3 object, and the
@@ -281,10 +283,11 @@ static_assert(!has_batch_occupancy_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(!has_geometry_v<scale::ShardedRenamer<core::LevelArray>>);
 // The batch fast path: the paper's structure and the scale layer carry
 // native get_batch/free_batch; everything else rides the api fallback
-// loop (so batched harness traffic covers all 14 registry entries).
+// loop (so batched harness traffic covers every registry entry).
 static_assert(has_batch_ops_v<core::LevelArray>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<core::LevelArray>>);
-static_assert(has_batch_ops_v<scale::ShardedRenamer<arrays::RandomArray>>);
+static_assert(
+    has_batch_ops_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(!has_batch_ops_v<arrays::RandomArray>);  // fallback-served
 // The service wrapper satisfies the full contract (get over the wire)
@@ -313,7 +316,6 @@ static_assert(has_snapshot_v<arrays::BitmapActivityArray>);
 static_assert(has_snapshot_v<arrays::IdIndexedArray>);
 static_assert(has_snapshot_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(has_snapshot_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
-static_assert(!has_adopt_held_v<SplitterRenamer>);
 static_assert(!has_snapshot_v<SplitterRenamer>);
 static_assert(!has_snapshot_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(

@@ -62,9 +62,6 @@ struct RenamerConfig {
   double size_factor = 2.0;
   // LevelArray only: c_i probes per batch. Empty = structure default.
   std::vector<std::uint8_t> probes_per_batch;
-  // Which probe RNG the driver should instantiate (carried alongside the
-  // structural knobs so one config describes a full run point).
-  rng::RngKind rng_kind = rng::RngKind::kMarsaglia;
   // IdIndexedArray only: the id space is id_space_factor * capacity —
   // deliberately larger than L, which is footnote 1's trade (trivial Get,
   // Theta(N) Collect and memory).
@@ -74,13 +71,6 @@ struct RenamerConfig {
   // free-name cache capacity (0 disables the cache; affinity remains).
   std::uint32_t shards = 8;
   std::uint32_t name_cache_capacity = 16;
-  // svc:* variants only: the in-process rename-service daemon's shape —
-  // request/response slots per client ring (power of two), client rings
-  // in the segment (threads beyond this share ring 0 under a lock), and
-  // server worker threads draining the rings.
-  std::uint32_t svc_ring_depth = 8;
-  std::uint32_t svc_max_clients = 16;
-  std::uint32_t svc_server_threads = 1;
 
   // Both sizes go through core::scaled_slots, which rejects NaN/negative
   // factors and products past 2^53 instead of hitting the UB of an

@@ -39,7 +39,6 @@ api::RenamerConfig renamer_config(const SweepPoint& point) {
   config.capacity = point.driver.emulated_registrants();
   config.size_factor = point.size_factor;
   config.probes_per_batch = point.probes_per_batch;
-  config.rng_kind = point.driver.rng_kind;
   config.shards = point.shards;
   config.name_cache_capacity = point.name_cache_capacity;
   return config;

@@ -529,7 +529,6 @@ StressReport drive(Array& array, const StressConfig& cfg) {
 StressReport run_stress(const StressConfig& cfg) {
   api::RenamerConfig rc;
   rc.capacity = cfg.effective_capacity();
-  rc.rng_kind = cfg.rng_kind;
   return api::visit(cfg.structure, rc, [&](auto& array) {
     return api::with_rng(cfg.rng_kind, [&](auto tag) {
       using Rng = typename decltype(tag)::type;

@@ -2,7 +2,7 @@
 // that owns the shared-memory segment, the backing structure, the
 // server workers, and a client — and exposes the client's
 // api::Renamer surface. This is what the registry instantiates for the
-// `svc:sharded:*` entries, so every existing harness (benches, stress
+// `svc:sharded:level` entry, so every existing harness (benches, stress
 // matrix, model fuzzer, contract tests) drives the daemon through the
 // real wire protocol without knowing it: the "structure" they call
 // get()/free() on is a svc::Client round-tripping cache-padded slots

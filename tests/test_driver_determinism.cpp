@@ -59,7 +59,7 @@ int main() {
   // all cache hits (probes == 1), so two seeds can legitimately
   // coincide. Same-seed bit-identity must still hold for all of them —
   // including the scale layer's claim-order and park/pop plumbing over
-  // every inner structure.
+  // each registered inner kind (level, linear, splitter).
   std::vector<std::string> deterministic = {"seq", "splitter"};
   for (const auto& name : api::registered_names()) {
     if (name.rfind("sharded:", 0) == 0) deterministic.push_back(name);

@@ -103,9 +103,9 @@ int main() {
   using namespace la;
 
   const auto& infos = api::registered_structures();
-  // The seven flat structures plus their seven sharded:* variants plus
-  // the seven svc:sharded:* daemon-backed variants.
-  CHECK(infos.size() == 21);
+  // The seven flat structures, sharded:{level,linear,splitter} (one per
+  // way the sharded layer treats its inner) and svc:sharded:level.
+  CHECK(infos.size() == 11);
 
   for (const auto& info : infos) {
     current = std::string(info.name);
@@ -259,6 +259,20 @@ int main() {
     CHECK(what.find("splitter") != std::string::npos);
   }
   CHECK(threw);
+
+  // Layered combinations nothing uses have no registry name; asking for
+  // one fails like any unknown name, listing what is accepted.
+  for (const char* removed : {"sharded:random", "svc:sharded:splitter"}) {
+    current = removed;
+    bool refused = false;
+    try {
+      api::resolve_structure(removed);
+    } catch (const std::invalid_argument& e) {
+      refused = true;
+      CHECK(std::string(e.what()).find("sharded:linear") != std::string::npos);
+    }
+    CHECK(refused);
+  }
 
   if (failures != 0) {
     std::fprintf(stderr, "%d renamer contract check(s) failed\n", failures);
