@@ -145,8 +145,8 @@ run_tsan() {
   cmake --build build-tsan -j "${JOBS}" \
     --target test_stress_matrix test_renamer_contract test_collect_race \
              test_model_fuzz test_svc_ring test_backoff_park \
-             test_wait_queue test_deadlines test_ckpt migrate_churn \
-             stress_runner
+             test_wait_queue test_deadlines test_ckpt test_slot_scan \
+             migrate_churn stress_runner
   # The svc ring + eventcount under TSan: the SPSC handshake and the
   # park/wake protocol are where a lost fence shows up. (The fork-based
   # svc suites stay out of TSan — it does not support multi-process.)
@@ -157,6 +157,8 @@ run_tsan() {
   ./build-tsan/test_wait_queue
   ./build-tsan/test_deadlines
   ./build-tsan/test_renamer_contract
+  # Scan-engine parity through load_word's per-byte TSan fallback.
+  ./build-tsan/test_slot_scan
   ./build-tsan/test_collect_race
   ./build-tsan/test_model_fuzz --structure=sharded:level --seed=20260727
   # Checkpoint/restore (sequential paths) and the live migration cell:

@@ -86,16 +86,10 @@ class SplitterRenamer {
     push(static_cast<std::uint32_t>(name));
   }
 
+  // Slot 0 is never issued, so it is never held and the scan can start
+  // at index 0: slot index == name.
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    // Slot 0 is never issued; word-scan the issuable range and shift the
-    // indices back into name space.
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(active_.data() + 1, name_bound_ - 1,
-                                   [&](std::uint64_t offset) {
-                                     out.push_back(offset + 1);
-                                     ++found;
-                                   });
-    return found;
+    return core::slot_scan::append_held(active_.data(), active_.size(), out);
   }
 
   std::uint64_t capacity() const { return grid_.contention_bound(); }

@@ -73,13 +73,7 @@ class IdIndexedArray {
   // Theta(N): must scan the entire id space — which is exactly why the
   // 8-slots-per-load engine matters most here.
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(cells_.data(), cells_.size(),
-                                   [&](std::uint64_t id) {
-                                     out.push_back(id);
-                                     ++found;
-                                   });
-    return found;
+    return core::slot_scan::append_held(cells_.data(), cells_.size(), out);
   }
 
   std::uint64_t total_slots() const { return cells_.size(); }

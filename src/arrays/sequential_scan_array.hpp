@@ -51,13 +51,7 @@ class SequentialScanArray {
   }
 
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(slots_.data(), slots_.size(),
-                                   [&](std::uint64_t slot) {
-                                     out.push_back(slot);
-                                     ++found;
-                                   });
-    return found;
+    return core::slot_scan::append_held(slots_.data(), slots_.size(), out);
   }
 
   std::uint64_t total_slots() const { return slots_.size(); }

@@ -197,13 +197,7 @@ class LevelArray {
   // a sequential cache-friendly scan, and the word engine reads 8 slots
   // per load (racy-snapshot semantics, see core/slot_scan.hpp).
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    slot_scan::for_each_held(slots_.data(), slots_.size(),
-                             [&](std::uint64_t slot) {
-                               out.push_back(slot);
-                               ++found;
-                             });
-    return found;
+    return slot_scan::append_held(slots_.data(), slots_.size(), out);
   }
 
   // Per-byte reference collect, kept as the collect_cost --scan=byte

@@ -3,9 +3,13 @@
 // one-byte TAS cells make Collect a sequential cache-friendly scan; the
 // engine cashes that in by reading 8 slots per load instead of one
 // std::atomic<uint8_t> at a time, then finding the held/clear bytes with
-// branch-free SWAR masks. A word whose slots are all clear (the common
-// case away from the occupied prefix) costs one load, one subtract, one
-// and, one compare.
+// branch-free SWAR masks. The full-range reads (count_held, for_each_held)
+// fold each 64-slot block — eight word loads — into one 64-bit held
+// bitmap: a multiply gathers each word's eight lane markers into a byte,
+// and the bytes are shifted into place. Counting is then one popcount per
+// 64 slots, and collecting is the ctz / clear-lowest-bit loop over the
+// bitmap, which branches once per held slot plus once per block instead
+// of once per word (the per-word branch mispredicts at any mixed load).
 //
 // Snapshot semantics are the same documented racy snapshot as the
 // per-byte relaxed loads these scans replace: each byte is read exactly
@@ -15,15 +19,19 @@
 // per-byte atomic loads so instrumentation sees the same access pattern
 // it can reason about; the plain-memory fast path is for real builds.
 //
-// Three primitives over a dense TasCell range, plus per-byte reference
-// implementations (the ablation baseline for collect_cost --scan=byte and
-// the oracle for the parity tests), plus the bit-domain sibling the
-// BitmapActivityArray's packed-word layout scans with.
+// Three primitives over a dense TasCell range (count_held, for_each_held
+// with its append_held wrapper, find_first_clear), the multi-claim engine
+// behind the batch Get paths, per-byte reference implementations (the
+// ablation baseline for collect_cost --scan=byte and the oracle for the
+// parity tests), plus the bit-domain sibling the BitmapActivityArray's
+// packed-word layout scans with.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "sync/tas_cell.hpp"
 
@@ -92,6 +100,20 @@ inline constexpr std::uint64_t clear_mask(std::uint64_t w) {
   return held_mask(w) ^ kHigh;
 }
 
+// 64-slot held bitmap of cells[i..i+64): bit k set iff slot i+k is held.
+// Caller guarantees i + 64 <= n. Per word, m >> 7 leaves lane k's marker
+// at bit 8k; the multiplier has bits 7 + 7j, so lane k lands at bit
+// 56 + k exactly when j = 7 - k, and no two partial products share a bit
+// (no carries), which makes the top byte the word's 8-bit held mask.
+inline std::uint64_t held_bits(const sync::TasCell* cells, std::uint64_t i) {
+  std::uint64_t bits = 0;
+  for (unsigned w = 0; w < 8; ++w) {
+    const std::uint64_t m = held_mask(load_word(cells, i + 8 * w));
+    bits |= (((m >> 7) * 0x0102040810204080ull) >> 56) << (8 * w);
+  }
+  return bits;
+}
+
 }  // namespace detail
 
 // --- per-byte reference engine ------------------------------------------
@@ -127,9 +149,9 @@ inline std::uint64_t find_first_clear_bytewise(const sync::TasCell* cells,
 inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
   std::uint64_t count = 0;
   std::uint64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (; i + 64 <= n; i += 64) {
     count += static_cast<std::uint64_t>(
-        __builtin_popcountll(detail::held_mask(detail::load_word(cells, i))));
+        __builtin_popcountll(detail::held_bits(cells, i)));
   }
   for (; i < n; ++i) {
     if (cells[i].held()) ++count;
@@ -141,18 +163,26 @@ inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
 template <typename Fn>
 void for_each_held(const sync::TasCell* cells, std::uint64_t n, Fn&& fn) {
   std::uint64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t mask = detail::held_mask(detail::load_word(cells, i));
-    while (mask != 0) {
-      // Each lane's marker is its byte's 0x80 bit: bit 7 for slot i,
-      // bit 15 for slot i+1, ... so ctz >> 3 recovers the byte offset.
-      fn(i + (static_cast<std::uint64_t>(__builtin_ctzll(mask)) >> 3));
-      mask &= mask - 1;
+  for (; i + 64 <= n; i += 64) {
+    std::uint64_t bits = detail::held_bits(cells, i);
+    while (bits != 0) {
+      fn(i + static_cast<std::uint64_t>(__builtin_ctzll(bits)));
+      bits &= bits - 1;
     }
   }
   for (; i < n; ++i) {
     if (cells[i].held()) fn(i);
   }
+}
+
+// Appends the index of every held slot to out, ascending; returns how
+// many it appended (out's existing contents are kept). The one collect
+// body every dense TasCell structure shares.
+inline std::size_t append_held(const sync::TasCell* cells, std::uint64_t n,
+                               std::vector<std::uint64_t>& out) {
+  const std::size_t before = out.size();
+  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(i); });
+  return out.size() - before;
 }
 
 // Index of the first clear slot, or n if every slot is held.

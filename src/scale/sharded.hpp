@@ -304,13 +304,7 @@ class ShardedRenamer {
   // acquired inside their shard). Monitoring, stats, and snapshot
   // paths that tolerate racy-snapshot semantics use this.
   std::size_t peek_held(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_held(held_.data(), held_.size(),
-                                   [&](std::uint64_t name) {
-                                     out.push_back(name);
-                                     ++found;
-                                   });
-    return found;
+    return core::slot_scan::append_held(held_.data(), held_.size(), out);
   }
 
   std::uint64_t capacity() const { return capacity_; }

@@ -1,13 +1,15 @@
-// Scan-engine parity: the word engine (8 slots per load, SWAR masks)
-// must agree with the per-byte reference on every occupancy pattern —
-// in particular around word boundaries and tail remainders, where SWAR
-// bugs live (the borrow-propagating zero-byte mask this suite was
-// written against misclassified bytes above the first clear slot).
+// Scan-engine parity: the word engine (8 slots per load, SWAR masks,
+// 64-slot held-bitmap fold) must agree with the per-byte reference on
+// every occupancy pattern — in particular around word and block
+// boundaries and tail remainders, where SWAR bugs live (the
+// borrow-propagating zero-byte mask this suite was written against
+// misclassified bytes above the first clear slot).
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "api/splitter_renamer.hpp"
 #include "arrays/bitmap_array.hpp"
 #include "core/level_array.hpp"
 #include "core/slot_scan.hpp"
@@ -26,6 +28,7 @@ int failures = 0;
     }                                                                   \
   } while (0)
 
+using la::core::slot_scan::append_held;
 using la::core::slot_scan::count_held;
 using la::core::slot_scan::count_held_bytewise;
 using la::core::slot_scan::find_first_clear;
@@ -54,11 +57,13 @@ void check_parity(const std::vector<la::sync::TasCell>& cells) {
   CHECK(collect_word(cells.data(), n) == collect_byte(cells.data(), n));
   CHECK(find_first_clear(cells.data(), n) ==
         find_first_clear_bytewise(cells.data(), n));
-  // Suffix scans exercise every word-phase of the same pattern (the
-  // engine takes unaligned base pointers).
-  for (std::uint64_t start = 1; start < n && start <= 9; ++start) {
+  // Suffix scans exercise every word- and block-phase of the same
+  // pattern (the engine takes unaligned base pointers).
+  for (std::uint64_t start = 1; start < n && start <= 65; ++start) {
     CHECK(count_held(cells.data() + start, n - start) ==
           count_held_bytewise(cells.data() + start, n - start));
+    CHECK(collect_word(cells.data() + start, n - start) ==
+          collect_byte(cells.data() + start, n - start));
     CHECK(find_first_clear(cells.data() + start, n - start) ==
           find_first_clear_bytewise(cells.data() + start, n - start));
   }
@@ -69,8 +74,9 @@ void check_parity(const std::vector<la::sync::TasCell>& cells) {
 int main() {
   using namespace la;
 
-  // Word-boundary and tail-remainder sizes, plus a couple of long ones.
-  const std::uint64_t sizes[] = {1, 7, 8, 9, 63, 64, 65, 200, 1037};
+  // Word- and block-boundary and tail-remainder sizes, plus long ones.
+  const std::uint64_t sizes[] = {1,   7,   8,   9,   63,   64,  65,
+                                 127, 128, 129, 200, 520, 1037, 4099};
 
   // --- deterministic edge patterns -----------------------------------
   for (const auto n : sizes) {
@@ -118,6 +124,36 @@ int main() {
       CHECK(count_held(dense.data(), n) == n - 1);
       check_parity(dense);
     }
+  }
+
+  // --- one held slot at every offset: a misordered byte lane in the
+  // 64-slot gather shows up as a wrong index or a wrong count ----------
+  {
+    const std::uint64_t n = 130;  // two full blocks plus a tail
+    for (std::uint64_t at = 0; at < n; ++at) {
+      std::vector<sync::TasCell> one(n);
+      CHECK(one[at].try_acquire());
+      CHECK(count_held(one.data(), n) == 1);
+      CHECK(collect_word(one.data(), n) == std::vector<std::uint64_t>{at});
+      // ...and its complement: every slot held but `at`.
+      std::vector<sync::TasCell> hole(n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (i != at) CHECK(hole[i].try_acquire());
+      }
+      CHECK(count_held(hole.data(), n) == n - 1);
+      CHECK(collect_word(hole.data(), n) == collect_byte(hole.data(), n));
+    }
+  }
+
+  // --- append_held keeps out's prefix and returns only what it added --
+  {
+    std::vector<sync::TasCell> cells(100);
+    for (const std::uint64_t at : {3, 64, 99}) CHECK(cells[at].try_acquire());
+    std::vector<std::uint64_t> out = {7, 7};
+    CHECK(append_held(cells.data(), cells.size(), out) == 3);
+    CHECK((out == std::vector<std::uint64_t>{7, 7, 3, 64, 99}));
+    CHECK(append_held(cells.data(), 0, out) == 0);
+    CHECK(out.size() == 5);
   }
 
   // --- random occupancy patterns -------------------------------------
@@ -174,6 +210,24 @@ int main() {
     std::vector<std::uint64_t> sorted = names;
     std::sort(sorted.begin(), sorted.end());
     CHECK(collected == sorted);
+  }
+
+  // --- SplitterRenamer collects from slot 0: the grid never issues
+  // name 0, so the unoffset scan yields exactly the held names ---------
+  {
+    api::SplitterRenamer splitter(64);
+    std::vector<std::uint64_t> names;
+    for (int i = 0; i < 64; ++i) names.push_back(splitter.get(rng).name);
+    for (const auto name : names) CHECK(name != 0);
+    for (std::size_t i = 0; i < names.size(); i += 3) splitter.free(names[i]);
+    std::vector<std::uint64_t> expected;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (i % 3 != 0) expected.push_back(names[i]);
+    }
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::uint64_t> collected;
+    CHECK(splitter.collect(collected) == expected.size());
+    CHECK(collected == expected);
   }
 
   if (failures == 0) std::printf("test_slot_scan: all checks passed\n");
