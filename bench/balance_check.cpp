@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                                        schedule);
 
         std::uint64_t samples = 0, unbalanced = 0;
-        if constexpr (api::has_batch_occupancy_v<Array>) {
+        if constexpr (api::has_batch_surface_v<Array>) {
           exec.set_step_observer(
               [&](const sim::BasicExecutor<Array>& e) {
                 ++samples;
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
                          exec.get_stats().worst_case(), budget, samples,
                          unbalanced, exec.backup_gets()});
 
-        if constexpr (api::has_batch_occupancy_v<Array>) {
+        if constexpr (api::has_batch_surface_v<Array>) {
           const auto& reach = exec.reach_counts();
           const double gets = static_cast<double>(exec.completed_gets());
           const std::uint32_t tracked = sim::loglog_batches(n);

@@ -69,11 +69,9 @@ int main(int argc, char** argv) {
   try {
     status = api::visit(structure, rc, [&](auto& array) {
       using Structure = std::decay_t<decltype(array)>;
-      // The figure needs the bad-state-seeding, occupancy, and geometry
-      // surfaces; any registered structure that exposes them heals here.
-      if constexpr (api::has_batch_occupancy_v<Structure> &&
-                    api::has_seed_batch_occupancy_v<Structure> &&
-                    api::has_geometry_v<Structure>) {
+      // The figure needs the batch surface (bad-state seeding, occupancy
+      // and geometry); any registered structure that exposes it heals here.
+      if constexpr (api::has_batch_surface_v<Structure>) {
         const auto show_batches =
             static_cast<std::uint32_t>(std::min<std::uint64_t>(
                 batches_flag, array.geometry().num_batches()));

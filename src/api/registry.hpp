@@ -276,11 +276,11 @@ static_assert(is_renamer_v<SplitterRenamer>);
 static_assert(is_renamer_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(is_renamer_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
 static_assert(is_renamer_v<scale::ShardedRenamer<SplitterRenamer>>);
-// The sharded wrapper must not accidentally expose the batch-occupancy
-// surfaces — per-shard batches are not the paper's Fig. 3 object, and the
-// harnesses would otherwise compute nonsense balance metrics on it.
-static_assert(!has_batch_occupancy_v<scale::ShardedRenamer<core::LevelArray>>);
-static_assert(!has_geometry_v<scale::ShardedRenamer<core::LevelArray>>);
+// The batch surface is the LevelArray's alone: per-shard batches are not
+// the paper's Fig. 3 object, and the harnesses would otherwise compute
+// nonsense balance metrics on the sharded wrapper.
+static_assert(has_batch_surface_v<core::LevelArray>);
+static_assert(!has_batch_surface_v<scale::ShardedRenamer<core::LevelArray>>);
 // The batch fast path: the paper's structure and the scale layer carry
 // native get_batch/free_batch; everything else rides the api fallback
 // loop (so batched harness traffic covers every registry entry).
@@ -290,6 +290,9 @@ static_assert(
     has_batch_ops_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(!has_batch_ops_v<arrays::RandomArray>);  // fallback-served
+// free_batch stays on the LevelArray alone, so test_sharded's
+// batch-fallback check still drives the api per-name loop.
+static_assert(!has_native_free_batch_v<arrays::RandomArray>);
 // The service wrapper satisfies the full contract (get over the wire)
 // and carries the native batch surface — one slot ferries up to
 // svc::kMaxBatch names, so batched harness traffic amortizes the ring
@@ -300,7 +303,7 @@ static_assert(
     has_batch_ops_v<
         svc::ServiceRenamer<scale::ShardedRenamer<core::LevelArray>>>);
 static_assert(
-    !has_batch_occupancy_v<
+    !has_batch_surface_v<
         svc::ServiceRenamer<scale::ShardedRenamer<core::LevelArray>>>);
 // Checkpoint/restore (src/api/snapshot.hpp): the core, every flat array,
 // and the sharded wrapper over adoptable inners can save *and* restore.

@@ -15,10 +15,11 @@
 //
 // The contract is *static* — checked with the detection idiom below and
 // enforced by the registry — so the bench drivers' inner loops stay fully
-// templated with zero virtual calls. Structures may additionally expose a
-// batch-occupancy introspection surface (batch_occupancy()); harnesses
-// detect it via has_batch_occupancy_v and enable the paper's balance
-// metrics only where it exists.
+// templated with zero virtual calls. Byte-slot structures inherit Free,
+// Collect and restore from core::SlotTable and differ only in Get. The
+// optional batch surface (the LevelArray's alone) is detected by
+// has_batch_surface_v and gates the paper's balance metrics and Fig. 3
+// healing checks.
 //
 // Batch operations (optional overrides, generic fallback below):
 //
@@ -62,10 +63,6 @@ struct RenamerConfig {
   double size_factor = 2.0;
   // LevelArray only: c_i probes per batch. Empty = structure default.
   std::vector<std::uint8_t> probes_per_batch;
-  // IdIndexedArray only: the id space is id_space_factor * capacity —
-  // deliberately larger than L, which is footnote 1's trade (trivial Get,
-  // Theta(N) Collect and memory).
-  double id_space_factor = 16.0;
   // sharded:* variants only: shard count S (each shard gets
   // ceil(capacity / S) of the contention bound) and the per-thread
   // free-name cache capacity (0 disables the cache; affinity remains).
@@ -79,8 +76,13 @@ struct RenamerConfig {
     return core::scaled_slots(size_factor, capacity);
   }
 
+  // IdIndexedArray only: the id space is kIdSpaceFactor * capacity —
+  // deliberately larger than L, which is footnote 1's trade (trivial Get,
+  // Theta(N) Collect and memory).
+  static constexpr double kIdSpaceFactor = 16.0;
+
   std::uint64_t id_space() const {
-    const auto space = core::scaled_slots(id_space_factor, capacity);
+    const auto space = core::scaled_slots(kIdSpaceFactor, capacity);
     return space < total_slots() ? total_slots() : space;
   }
 };
@@ -264,49 +266,23 @@ std::size_t get_batch_for(Structure& structure, Rng& rng, GetResult* out,
   }
 }
 
-// Optional introspection surface: per-batch occupancy counts, used by the
-// sim harness for the paper's Definition 2 balance metrics.
+// Optional batch surface: geometry(), batch_occupancy() and
+// seed_batch_occupancy(batch, count) — the batch partition, per-batch
+// held counts and Fig. 3's bad-state seeding. They only make sense
+// together, so harnesses detect them as one.
 template <typename T, typename = void>
-struct has_batch_occupancy : std::false_type {};
+struct has_batch_surface : std::false_type {};
 
 template <typename T>
-struct has_batch_occupancy<
-    T, std::void_t<decltype(std::declval<const T&>().batch_occupancy())>>
+struct has_batch_surface<
+    T, std::void_t<decltype(std::declval<const T&>().geometry()),
+                   decltype(std::declval<const T&>().batch_occupancy()),
+                   decltype(std::declval<T&>().seed_batch_occupancy(
+                       std::uint32_t{}, std::uint64_t{}))>>
     : std::true_type {};
 
 template <typename T>
-inline constexpr bool has_batch_occupancy_v = has_batch_occupancy<T>::value;
-
-// Optional bad-state construction surface: force slots of one batch into
-// the held state (LevelArray's seed_batch_occupancy). The stress driver
-// uses it to rebuild Fig. 3's overcrowded initial distribution before its
-// healing-window check.
-template <typename T, typename = void>
-struct has_seed_batch_occupancy : std::false_type {};
-
-template <typename T>
-struct has_seed_batch_occupancy<
-    T, std::void_t<decltype(std::declval<T&>().seed_batch_occupancy(
-           std::uint32_t{}, std::uint64_t{}))>> : std::true_type {};
-
-template <typename T>
-inline constexpr bool has_seed_batch_occupancy_v =
-    has_seed_batch_occupancy<T>::value;
-
-// Optional geometry surface: the batch partition behind batch_occupancy()
-// (LevelArray's Geometry). Harnesses need it to turn occupancy counts
-// into fill ratios — the stress driver's healing verdict and
-// fig3_healing's per-batch columns both gate on it.
-template <typename T, typename = void>
-struct has_geometry : std::false_type {};
-
-template <typename T>
-struct has_geometry<
-    T, std::void_t<decltype(std::declval<const T&>().geometry())>>
-    : std::true_type {};
-
-template <typename T>
-inline constexpr bool has_geometry_v = has_geometry<T>::value;
+inline constexpr bool has_batch_surface_v = has_batch_surface<T>::value;
 
 // --- waiting surfaces ---------------------------------------------------
 

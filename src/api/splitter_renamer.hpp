@@ -4,13 +4,16 @@
 // First acquisition of a name walks the grid with a fresh process id (the
 // grid's own one-shot protocol, untouched). Free releases the name's
 // activity cell and pushes it onto a tagged Treiber free-list; later Gets
-// pop the list and re-acquire in O(1). This is the standard
-// one-shot -> long-lived recycling wrapper: at most `capacity` names are
-// ever walked for (the high-water mark of concurrent holds), so the
-// grid's <= n one-shot-processes precondition is preserved, while churn
-// workloads see a steady-state Get of one probe. The structure keeps the
-// splitter's signature costs — Theta(n^2) memory, O(n) worst-case walk —
-// which is exactly what the comparison benches are after.
+// pop the list and re-acquire in O(1). The cells are a private
+// core::SlotTable, so Free and Collect are the flat arrays' but there is
+// no adopt_held (a fresh grid walk could re-issue an adopted name).
+// This is the standard one-shot -> long-lived recycling wrapper: at most
+// `capacity` names are ever walked for (the high-water mark of concurrent
+// holds), so the grid's <= n one-shot-processes precondition is
+// preserved, while churn workloads see a steady-state Get of one probe.
+// The structure keeps the splitter's signature costs — Theta(n^2)
+// memory, O(n) worst-case walk — which is exactly what the comparison
+// benches are after.
 #pragma once
 
 #include <atomic>
@@ -20,9 +23,8 @@
 #include <vector>
 
 #include "arrays/splitter_grid.hpp"
-#include "core/slot_scan.hpp"
+#include "core/slot_table.hpp"
 #include "core/types.hpp"
-#include "sync/tas_cell.hpp"
 
 namespace la::api {
 
@@ -37,9 +39,9 @@ class SplitterRenamer {
       : grid_(checked_capacity(capacity)),
         // Grid names are 1..namespace_size, overflow names continue for
         // another contention_bound entries; slot 0 is never issued.
-        name_bound_(grid_.namespace_size() + grid_.contention_bound() + 1),
-        active_(name_bound_),
-        next_(name_bound_) {
+        table_(grid_.namespace_size() + grid_.contention_bound() + 1,
+               grid_.contention_bound()),
+        next_(table_.total_slots()) {
     for (auto& n : next_) n.store(kNull, std::memory_order_relaxed);
   }
 
@@ -54,7 +56,7 @@ class SplitterRenamer {
       GetResult result;
       result.probes = 1;
       result.name = recycled;
-      if (!active_[recycled].try_acquire()) {
+      if (!table_.claim(recycled)) {
         // A popped name was released before it was pushed; only list
         // corruption can make this fire.
         throw std::logic_error("SplitterRenamer: recycled name still held");
@@ -64,7 +66,7 @@ class SplitterRenamer {
     const std::uint64_t id =
         next_id_.fetch_add(1, std::memory_order_relaxed);
     const GetResult result = grid_.get(id);
-    if (!active_[result.name].try_acquire()) {
+    if (!table_.claim(result.name)) {
       // The grid's one-shot protocol guarantees distinct names per
       // process id; a name that is already active means the grid walk
       // handed out a duplicate, and ignoring it would silently corrupt
@@ -74,26 +76,20 @@ class SplitterRenamer {
     return result;
   }
 
+  // Slot 0 is never issued, so it is never held: the table's Free throws
+  // the same logic_error for it as for a double free, and Collect's scan
+  // can start at index 0 (slot index == name).
   void free(std::uint64_t name) {
-    if (name >= name_bound_) {
-      throw std::out_of_range("SplitterRenamer::free: name out of range");
-    }
-    if (name == 0 || !active_[name].held()) {
-      throw std::logic_error(
-          "SplitterRenamer::free: name not held (double free?)");
-    }
-    active_[name].release();
+    table_.free(name);
     push(static_cast<std::uint32_t>(name));
   }
 
-  // Slot 0 is never issued, so it is never held and the scan can start
-  // at index 0: slot index == name.
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    return core::slot_scan::append_held(active_.data(), active_.size(), out);
+    return table_.collect(out);
   }
 
-  std::uint64_t capacity() const { return grid_.contention_bound(); }
-  std::uint64_t total_slots() const { return name_bound_; }
+  std::uint64_t capacity() const { return table_.capacity(); }
+  std::uint64_t total_slots() const { return table_.total_slots(); }
   const arrays::SplitterGrid& grid() const { return grid_; }
 
  private:
@@ -146,8 +142,7 @@ class SplitterRenamer {
   }
 
   arrays::SplitterGrid grid_;
-  std::uint64_t name_bound_;
-  std::vector<sync::TasCell> active_;
+  core::SlotTable table_;
   std::vector<std::atomic<std::uint32_t>> next_;
   std::atomic<std::uint64_t> head_{pack(0, kNull)};
   std::atomic<std::uint64_t> next_id_{1};

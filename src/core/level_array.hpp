@@ -1,10 +1,12 @@
 // The LevelArray of Alistarh, Kopinsky, Matveev and Shavit (ICDCS'14):
 // long-lived renaming over an array of L = 2n test-and-set slots split
 // into doubly-exponentially shrinking batches. Get performs c_i random
-// probes in batch i before moving on; names are slot indices; Free is a
-// single release. If every batch's probes fail (rare by construction) a
-// deterministic backup sweep guarantees termination, since at most n of
-// the L = 2n slots can be held.
+// probes in batch i before moving on. If every batch's probes fail (rare
+// by construction) a deterministic backup sweep guarantees termination,
+// since at most n of the L = 2n slots can be held. Names are slot
+// indices; Free, Collect and restore are core::SlotTable's. This class
+// adds Get, Get-k/Free-k and the batch surface (geometry, per-batch
+// occupancy, bad-state seeding).
 //
 // The structure is "self-healing": started from any bad occupancy
 // distribution, steady-state churn drains overcrowded deep batches back
@@ -13,8 +15,8 @@
 // Concurrency surface: every shared word here is a sync::TasCell read
 // through core::slot_scan — both of which sit on the la::detail::atomic
 // seam (sync/atomic_select.hpp), so under -DLEVELARRAY_VERIFY the probe/
-// claim/release/collect protocol below runs under the exhaustive
-// interleaving checker in src/verify/ with no changes to this file.
+// claim/release/collect protocol here and in SlotTable runs unchanged
+// under the exhaustive interleaving checker in src/verify/.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +25,9 @@
 
 #include "core/geometry.hpp"
 #include "core/slot_scan.hpp"
+#include "core/slot_table.hpp"
 #include "core/types.hpp"
 #include "rng/rng.hpp"
-#include "sync/tas_cell.hpp"
 
 namespace la::core {
 
@@ -39,12 +41,12 @@ struct LevelArrayConfig {
   std::vector<std::uint8_t> probes_per_batch = {1};
 };
 
-class LevelArray {
+class LevelArray : public SlotTable {
  public:
   explicit LevelArray(const LevelArrayConfig& config)
-      : config_(config),
-        geometry_(slot_count(config)),
-        slots_(geometry_.total_slots()) {}
+      : SlotTable(slot_count(config), config.capacity),
+        config_(config),
+        geometry_(slot_count(config)) {}
 
   LevelArray(const LevelArray&) = delete;
   LevelArray& operator=(const LevelArray&) = delete;
@@ -61,7 +63,7 @@ class LevelArray {
           const std::uint64_t slot =
               batch.offset() + rng::bounded(rng, batch.size());
           ++result.probes;
-          if (slots_[slot].try_acquire()) {
+          if (claim(slot)) {
             result.name = slot;
             return result;
           }
@@ -77,7 +79,7 @@ class LevelArray {
         slot += slot_scan::find_first_clear(slots_.data() + slot,
                                             slots_.size() - slot);
         if (slot >= slots_.size()) break;
-        if (slots_[slot].try_acquire()) {
+        if (claim(slot)) {
           result.name = slot;
           return result;
         }
@@ -144,19 +146,6 @@ class LevelArray {
     return k;
   }
 
-  void free(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range("LevelArray::free: name out of range");
-    }
-    // Only the holder may free, so this read is race-free; a clear slot
-    // here means a driver double-freed (or freed a name it never got) and
-    // would otherwise silently corrupt occupancy.
-    if (!slots_[name].held()) {
-      throw std::logic_error("LevelArray::free: slot not held (double free?)");
-    }
-    slots_[name].release();
-  }
-
   // Batch release. Names that landed in the same 8-slot word (the common
   // shape out of get_batch's window claims) are verified against one
   // held-lane snapshot instead of one held() read each; lanes are
@@ -192,14 +181,6 @@ class LevelArray {
     }
   }
 
-  // Appends the names of all held slots to out; returns how many were
-  // found. Theta(L) by design — the dense byte layout is what makes this
-  // a sequential cache-friendly scan, and the word engine reads 8 slots
-  // per load (racy-snapshot semantics, see core/slot_scan.hpp).
-  std::size_t collect(std::vector<std::uint64_t>& out) const {
-    return slot_scan::append_held(slots_.data(), slots_.size(), out);
-  }
-
   // Per-byte reference collect, kept as the collect_cost --scan=byte
   // ablation baseline and the oracle the parity tests compare against.
   std::size_t collect_bytewise(std::vector<std::uint64_t>& out) const {
@@ -212,8 +193,6 @@ class LevelArray {
     return found;
   }
 
-  std::uint64_t total_slots() const { return geometry_.total_slots(); }
-  std::uint64_t capacity() const { return config_.capacity; }
   const Geometry& geometry() const { return geometry_; }
   const LevelArrayConfig& config() const { return config_; }
 
@@ -247,25 +226,9 @@ class LevelArray {
     names.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t s = batch.offset();
          s < batch.end() && names.size() < count; ++s) {
-      if (slots_[s].try_acquire()) names.push_back(s);
+      if (claim(s)) names.push_back(s);
     }
     return names;
-  }
-
-  // Checkpoint adoption (src/api/snapshot.hpp): force the named slot into
-  // the held state on a freshly built instance so a restored image's names
-  // keep their numeric identity. Restore-time callers run single-threaded,
-  // but try_acquire (not mark_held) keeps the claim edge so a duplicate
-  // name in a corrupt image fails loudly instead of silently double-
-  // marking one slot.
-  void adopt_held(std::uint64_t name) {
-    if (name >= slots_.size()) {
-      throw std::out_of_range("LevelArray::adopt_held: name out of range");
-    }
-    if (!slots_[name].try_acquire()) {
-      throw std::logic_error(
-          "LevelArray::adopt_held: slot already held (duplicate name)");
-    }
   }
 
  private:
@@ -275,7 +238,6 @@ class LevelArray {
 
   LevelArrayConfig config_;
   Geometry geometry_;
-  std::vector<sync::TasCell> slots_;
 };
 
 }  // namespace la::core

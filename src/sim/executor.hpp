@@ -117,7 +117,7 @@ class BasicExecutor {
           ") exceed the array's " + std::to_string(array_->total_slots()) +
           " slots");
     }
-    if constexpr (api::has_batch_occupancy_v<Structure>) {
+    if constexpr (api::has_batch_surface_v<Structure>) {
       reach_counts_.assign(array_->batch_occupancy().size(), 0);
     } else {
       reach_counts_.assign(1, 0);  // [0] still counts every Get
@@ -153,10 +153,10 @@ class BasicExecutor {
   }
 
   // Definition 2 balance of the current occupancy snapshot. Only callable
-  // for structures exposing the batch-occupancy introspection surface.
+  // for structures exposing the batch surface.
   BalanceReport balance() const {
-    static_assert(api::has_batch_occupancy_v<Structure>,
-                  "balance() needs the batch_occupancy() surface");
+    static_assert(api::has_batch_surface_v<Structure>,
+                  "balance() needs the batch surface");
     return evaluate_balance(array_->batch_occupancy(), array_->capacity());
   }
 

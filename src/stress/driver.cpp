@@ -273,10 +273,10 @@ void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
 
 // --- healing window -----------------------------------------------------
 
-// For structures with the batch-occupancy surface: rebuild Fig. 3's bad
-// state (deep batch 1 forced to its overcrowding threshold) on top of
-// whatever the run left, churn at half the contention bound, and require
-// every deep batch to end below kMaxDeepBatchFill. Runs single-threaded
+// For structures with the batch surface: rebuild Fig. 3's bad state
+// (deep batch 1 forced to its overcrowding threshold) on top of whatever
+// the run left, churn at half the contention bound, and require every
+// deep batch to end below kMaxDeepBatchFill. Runs single-threaded
 // on the reaper id; everything is logged, so the checker covers this
 // phase too. Returns the phase's peak concurrent holds.
 template <typename Array, typename Rng>
@@ -300,17 +300,15 @@ std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
 
   // Fig. 3's bad state: batch 1 forced up to its Definition 2 threshold.
   std::uint64_t seeded = 0;
-  if constexpr (api::has_seed_batch_occupancy_v<Array>) {
-    if (array.batch_occupancy().size() > 1) {
-      const auto names = array.seed_batch_occupancy(
-          1, sim::overcrowding_threshold(1, array.capacity()));
-      for (const auto name : names) {
-        // seed_batch_occupancy acquires directly; mirror it in the log.
-        reaper.log.record(clock, reaper_tid, Op::kGet, name);
-        pool.push_back(name);
-      }
-      seeded = names.size();
+  if (array.geometry().num_batches() > 1) {
+    const auto names = array.seed_batch_occupancy(
+        1, sim::overcrowding_threshold(1, array.capacity()));
+    for (const auto name : names) {
+      // seed_batch_occupancy acquires directly; mirror it in the log.
+      reaper.log.record(clock, reaper_tid, Op::kGet, name);
+      pool.push_back(name);
     }
+    seeded = names.size();
   }
 
   // Churn back down to the healing load, then keep churning — the
@@ -326,23 +324,20 @@ std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
   }
 
   // Verdict: every deep batch with enough slots to matter must end
-  // bounded away from full. Without geometry there are no batch sizes to
-  // compare against, so only the occupancy snapshot is reported.
+  // bounded away from full.
   const auto occupancy = array.batch_occupancy();
   double max_fill = 0.0;
-  if constexpr (api::has_geometry_v<Array>) {
-    for (std::size_t k = 1; k < occupancy.size(); ++k) {
-      const auto size =
-          array.geometry().batch(static_cast<std::uint32_t>(k)).size();
-      if (size < kMinCheckedBatchSlots) continue;
-      const double fill =
-          static_cast<double>(occupancy[k]) / static_cast<double>(size);
-      if (fill > max_fill) max_fill = fill;
-    }
-    report.balance_checked = true;
-    report.heal_max_deep_fill = max_fill;
-    report.balanced = max_fill <= kMaxDeepBatchFill;
+  for (std::size_t k = 1; k < occupancy.size(); ++k) {
+    const auto size =
+        array.geometry().batch(static_cast<std::uint32_t>(k)).size();
+    if (size < kMinCheckedBatchSlots) continue;
+    const double fill =
+        static_cast<double>(occupancy[k]) / static_cast<double>(size);
+    if (fill > max_fill) max_fill = fill;
   }
+  report.balance_checked = true;
+  report.heal_max_deep_fill = max_fill;
+  report.balanced = max_fill <= kMaxDeepBatchFill;
   return heal_load + seeded;
 }
 
@@ -471,7 +466,7 @@ StressReport drive(Array& array, const StressConfig& cfg) {
   ThreadState reaper;
   std::uint64_t heal_peak = 0;
   Rng reaper_rng(rng::mix_seed(cfg.seed, 0x4EA9E4ull));
-  if constexpr (api::has_batch_occupancy_v<Array>) {
+  if constexpr (api::has_batch_surface_v<Array>) {
     if (driver_errors.empty()) {
       heal_peak = run_healing_window<Array, Rng>(
           array, reaper_rng, clock, reaper, reaper_tid, pool, cfg, report);

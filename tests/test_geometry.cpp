@@ -194,10 +194,8 @@ int main() {
 
     threw = false;
     try {
-      la::api::RenamerConfig config;
-      config.capacity = 1024;
-      config.id_space_factor = -4.0;  // negative products are rejected too
-      (void)config.id_space();
+      // Negative products are rejected too (the guard id_space() calls).
+      (void)la::core::scaled_slots(-4.0, 1024);
     } catch (const std::invalid_argument&) {
       threw = true;
     }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "api/snapshot.hpp"
 #include "core/level_array.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
@@ -90,6 +91,32 @@ void check_contract(Array& array, std::uint64_t capacity) {
   CHECK(threw_double);
   collected.clear();
   CHECK(array.collect(collected) == held.size());
+
+  // The restore path rejects a name past the end and a name that is
+  // already held (a duplicate in an image), the latter without touching
+  // the held set.
+  if constexpr (la::api::has_adopt_held_v<Array>) {
+    bool threw_adopt_range = false;
+    try {
+      array.adopt_held(array.total_slots());
+    } catch (const std::out_of_range&) {
+      threw_adopt_range = true;
+    }
+    CHECK(threw_adopt_range);
+
+    bool threw_adopt_held = false;
+    try {
+      array.adopt_held(*held.begin());
+    } catch (const std::out_of_range&) {
+      // a held name is in range; only the duplicate check may fire
+    } catch (const std::logic_error&) {
+      threw_adopt_held = true;
+    }
+    CHECK(threw_adopt_held);
+    std::vector<std::uint64_t> after;
+    array.collect(after);
+    CHECK(std::set<std::uint64_t>(after.begin(), after.end()) == held);
+  }
 
   // Drain; the structure ends empty.
   for (const auto name : held) array.free(name);
