@@ -16,7 +16,8 @@
 //   * Held names are accounted per client *process* in dense bitmaps
 //     (pid-keyed): Frees validate against them, which is what turns a
 //     foreign or double free into a protocol error instead of silent
-//     corruption, and what makes crash reclaim exact.
+//     corruption, and what makes crash reclaim exact. An exchange costs
+//     one holds-lock pass and one structure call (Free-k: one free_batch).
 //   * Crash reclaim: a claimed client slot whose owner is provably gone
 //     is swept: every bitmap-held name is freed back to the structure,
 //     its rings are reset empty, its pending entries dropped, and the
@@ -30,10 +31,15 @@
 //     idle heartbeat (the doorbell park has a timeout) and on demand via
 //     request_sweep().
 //
-// Idle waiting is the eventcount protocol on the segment's global
-// doorbell: register, rescan every owned ring, only then sleep — a
+// Idle waiting escalates like a client's response wait: spin, then
+// yield (sync::Backoff), then the eventcount protocol on the segment's
+// global doorbell: register, rescan every owned ring, only then sleep — a
 // request pushed between the scan and the sleep bumps the word and the
-// sleep returns immediately (see sync/futex.hpp).
+// sleep returns immediately (see sync/futex.hpp). The spin tiers run only
+// after a served request: they cover the gap between a client's
+// consecutive exchanges, so a busy worker does not pay a futex wake per
+// exchange whenever it outruns its clients, while an idle worker (at
+// start-up, after its heartbeat) parks at once and leaves its CPU free.
 #pragma once
 
 #include <atomic>
@@ -212,47 +218,50 @@ class Server {
 
   struct PidHolds {
     std::uint32_t pid = 0;
-    std::uint64_t count = 0;
     std::vector<std::uint64_t> words;
   };
 
+  // Caller holds holds_lock_.
   PidHolds& holds_for(std::uint32_t pid) {
     for (auto& h : holds_) {
       if (h.pid == pid) return h;
     }
-    holds_.push_back(PidHolds{pid, 0, std::vector<std::uint64_t>(
-                                          static_cast<std::size_t>(
-                                              hold_words_))});
+    holds_.push_back(PidHolds{pid, std::vector<std::uint64_t>(
+                                       static_cast<std::size_t>(hold_words_))});
     return holds_.back();
   }
 
-  void mark_held(std::uint32_t pid, std::uint64_t name) {
+  // Clears pid's bits for names[0..count) up to the first name pid does
+  // not hold; returns how many it cleared. `stop` classes that name:
+  // kOutOfRange, kForeign (another pid holds it) or kNotHeld (no bitmap
+  // does; the structure has the last word). kOk when none is left.
+  std::uint32_t clear_holds(std::uint32_t pid, const std::uint64_t* names,
+                            std::uint32_t count, std::uint64_t total_slots,
+                            Status& stop) {
     sync::SpinLockGuard guard(holds_lock_);
     PidHolds& h = holds_for(pid);
-    h.words[name >> 6] |= (std::uint64_t{1} << (name & 63));
-    ++h.count;
-  }
-
-  bool clear_held(std::uint32_t pid, std::uint64_t name) {
-    sync::SpinLockGuard guard(holds_lock_);
-    PidHolds& h = holds_for(pid);
-    const std::uint64_t bit = std::uint64_t{1} << (name & 63);
-    if ((h.words[name >> 6] & bit) == 0) return false;
-    h.words[name >> 6] &= ~bit;
-    --h.count;
-    return true;
-  }
-
-  bool held_by_other(std::uint32_t pid, std::uint64_t name) {
-    if (name >= structure_.total_slots()) return false;
-    sync::SpinLockGuard guard(holds_lock_);
-    for (const auto& h : holds_) {
-      if (h.pid == pid) continue;
-      if ((h.words[name >> 6] & (std::uint64_t{1} << (name & 63))) != 0) {
-        return true;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t name = names[i];
+      if (name >= total_slots) {
+        stop = Status::kOutOfRange;
+        return i;
       }
+      const std::uint64_t bit = std::uint64_t{1} << (name & 63);
+      if ((h.words[name >> 6] & bit) != 0) {
+        h.words[name >> 6] &= ~bit;
+        continue;
+      }
+      stop = Status::kNotHeld;
+      for (const auto& other : holds_) {
+        if (other.pid != pid && (other.words[name >> 6] & bit) != 0) {
+          stop = Status::kForeign;
+          break;
+        }
+      }
+      return i;
     }
-    return false;
+    stop = Status::kOk;
+    return count;
   }
 
   std::vector<std::uint64_t> drain_holds(std::uint32_t pid) {
@@ -270,7 +279,6 @@ class Server {
         }
         h.words[w] = 0;
       }
-      h.count = 0;
     }
     return names;
   }
@@ -310,7 +318,13 @@ class Server {
     const std::size_t granted = api::get_batch(
         structure_, rng, got, static_cast<std::size_t>(want));
     if (granted == 0) return false;
-    for (std::size_t i = 0; i < granted; ++i) mark_held(pid, got[i].name);
+    {
+      sync::SpinLockGuard guard(holds_lock_);
+      PidHolds& h = holds_for(pid);
+      for (std::size_t i = 0; i < granted; ++i) {
+        h.words[got[i].name >> 6] |= std::uint64_t{1} << (got[i].name & 63);
+      }
+    }
     granted_.fetch_add(granted, std::memory_order_relaxed);
     respond(r, [&](ResponseSlot& out) {
       out.status = Status::kOk;
@@ -330,46 +344,34 @@ class Server {
   std::uint64_t handle_free(std::uint32_t r, std::uint32_t pid,
                             const std::uint64_t* names,
                             std::uint32_t count) {
+    const std::uint64_t total_slots = structure_.total_slots();
     Status status = Status::kOk;
-    std::uint32_t error_index = 0;
-    std::uint64_t released = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const std::uint64_t name = names[i];
-      if (name >= structure_.total_slots()) {
-        status = Status::kOutOfRange;
-        error_index = i;
-        break;
-      }
-      if (clear_held(pid, name)) {
-        structure_.free(name);
-        ++released;
-        continue;
-      }
-      if (held_by_other(pid, name)) {
-        status = Status::kForeign;
-        error_index = i;
-        break;
-      }
+    std::uint32_t i = 0;
+    while (i < count) {
+      const std::uint32_t held =
+          clear_holds(pid, names + i, count - i, total_slots, status);
+      if (held != 0) api::free_batch(structure_, names + i, held);
+      i += held;
+      if (status != Status::kNotHeld) break;
       // Nobody's bitmap holds it: let the structure classify (its free
       // is guaranteed to throw — every grant marks a bitmap first).
       try {
-        structure_.free(name);
-        ++released;  // untracked-but-held: corruption upstream, but freed
+        structure_.free(names[i]);
+        ++i;  // untracked-but-held: corruption upstream, but freed
+        status = Status::kOk;
       } catch (const std::out_of_range&) {
         status = Status::kOutOfRange;
-        error_index = i;
         break;
       } catch (const std::logic_error&) {
-        status = Status::kNotHeld;
-        error_index = i;
         break;
       }
     }
+    const std::uint32_t released = i;  // every name before the stop
     freed_.fetch_add(released, std::memory_order_relaxed);
     respond(r, [&](ResponseSlot& out) {
       out.status = status;
-      out.count = static_cast<std::uint32_t>(released);
-      out.error_index = error_index;
+      out.count = released;
+      out.error_index = status == Status::kOk ? 0 : i;
       out.more = 0;
     });
     return released;
@@ -540,8 +542,10 @@ class Server {
       // reset the rings (the producer is provably gone, so half-written
       // requests are discarded wholesale) and free the slot.
       const auto names = drain_holds(pid);
-      for (const auto name : names) structure_.free(name);
-      if (!names.empty()) released = true;
+      if (!names.empty()) {
+        api::free_batch(structure_, names.data(), names.size());
+        released = true;
+      }
       for (std::size_t i = 0; i < pending.size();) {
         if (pending[i].ring == r) {
           pending[i] = pending.back();
@@ -570,6 +574,10 @@ class Server {
     rng::MarsagliaXorshift rng(rng::mix_seed(0x53564300ull, wid + 1));
     std::vector<Pending> pending;
     std::uint64_t seen_sweep_epoch = 0;
+    // Spin tiers before a park, armed only by a served request: a worker
+    // that has seen no request since its last park parks at once.
+    sync::Backoff idle_backoff;
+    bool serving = false;
     Header& h = seg_.header();
     try {
       for (;;) {
@@ -609,7 +617,16 @@ class Server {
         }
         expire_pending(pending);
         if (h.shutdown.load(std::memory_order_acquire)) break;
-        if (processed != 0) continue;
+        if (processed != 0) {
+          serving = true;
+          idle_backoff.reset();
+          continue;
+        }
+        if (serving && !idle_backoff.should_park()) {
+          idle_backoff.pause();
+          continue;
+        }
+        serving = false;
         // Idle: eventcount on the doorbell. The re-check between
         // prepare and commit is a full rescan of our rings; the timed
         // sleep doubles as the liveness-sweep heartbeat.

@@ -15,12 +15,23 @@
 //     its names) leaked forever. Negative controls: a matching token
 //     and a zero token (stamp unavailable) must both keep the slot.
 //
+//   * Wire error contract of Free-k — a batch with a bad name in the
+//     middle answers with the bad name's class and index, and releases
+//     exactly the prefix before it: out of range -> kOutOfRange, a
+//     duplicate inside the batch -> kNotHeld, a name another pid holds
+//     -> kForeign. A name the structure holds but no pid's bitmap does
+//     (upstream corruption) is released and the walk goes on past it.
+//     Driven over a raw ring so every request can carry any pid and the
+//     whole response (status, error_index, released count) is visible;
+//     svc::Client folds it into an exception.
+//
 // Fork choreography (same rules as test_svc_reclaim): every child is
 // forked before any thread exists in the parent; the holder child blocks
 // in the Client ctor until its segment's server publishes ready.
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -284,6 +295,169 @@ void test_forged_token(la::svc::SegmentView seg, pid_t holder_pid) {
   server.stop();
 }
 
+// One claimed ring driven slot by slot: every request carries the pid
+// the caller names, and exchange() returns the whole response.
+class RawPort {
+ public:
+  struct Reply {
+    la::svc::Status status = la::svc::Status::kOk;
+    std::uint32_t count = 0;
+    std::uint32_t error_index = 0;
+    std::vector<std::uint64_t> names;
+  };
+
+  explicit RawPort(la::svc::SegmentView seg) : seg_(seg) {
+    for (ring_ = 0; ring_ < seg_.config().max_clients; ++ring_) {
+      la::svc::ClientSlot& cs = seg_.client_slot(ring_);
+      std::uint32_t expected = la::svc::ClientSlot::kFree;
+      if (cs.state.compare_exchange_strong(expected,
+                                           la::svc::ClientSlot::kClaimed)) {
+        // Owned by this (live) process, so no sweep reclaims it.
+        cs.pid.store(la::svc::this_pid(), std::memory_order_release);
+        return;
+      }
+    }
+    throw std::runtime_error("RawPort: no free client slot");
+  }
+
+  // One request, one response (kCollect: every chunk, names appended).
+  Reply exchange(std::uint32_t pid, la::svc::Op op,
+                 const std::uint64_t* names, std::uint32_t count) {
+    la::svc::ClientSlot& cs = seg_.client_slot(ring_);
+    auto requests = seg_.request_ring(ring_);
+    const std::uint32_t tail = cs.req_tail.load(std::memory_order_relaxed);
+    la::svc::RequestSlot* req;
+    la::sync::Backoff backoff;
+    while ((req = requests.try_begin_push(tail)) == nullptr) backoff.pause();
+    req->pid = pid;
+    req->op = op;
+    req->count = count;
+    req->deadline_ns = 0;
+    for (std::uint32_t i = 0; i < count && names != nullptr; ++i) {
+      req->names[i] = names[i];
+    }
+    requests.commit_push(*req, tail);
+    cs.req_tail.store(tail + 1, std::memory_order_relaxed);
+    seg_.header().doorbell.signal();
+
+    Reply reply;
+    auto responses = seg_.response_ring(ring_);
+    for (bool more = true; more;) {
+      const std::uint32_t head = cs.resp_head.load(std::memory_order_relaxed);
+      la::svc::ResponseSlot* resp;
+      backoff.reset();
+      while ((resp = responses.try_begin_pop(head)) == nullptr) {
+        backoff.pause();
+      }
+      reply.status = resp->status;
+      reply.count = resp->count;
+      reply.error_index = resp->error_index;
+      if (op != la::svc::Op::kFreeK) {
+        reply.names.insert(reply.names.end(), resp->names,
+                           resp->names + resp->count);
+      }
+      more = resp->more != 0;
+      responses.commit_pop(*resp, head);
+      cs.resp_head.store(head + 1, std::memory_order_relaxed);
+    }
+    return reply;
+  }
+
+  // Grant exactly k names to `pid` (the gate may grant fewer per GetK).
+  std::vector<std::uint64_t> get(std::uint32_t pid, std::uint32_t k) {
+    std::vector<std::uint64_t> got;
+    la::sync::Backoff backoff;
+    while (got.size() < k) {
+      const Reply reply =
+          exchange(pid, la::svc::Op::kGetK, nullptr,
+                   k - static_cast<std::uint32_t>(got.size()));
+      got.insert(got.end(), reply.names.begin(), reply.names.end());
+      if (got.size() < k) backoff.pause();
+    }
+    return got;
+  }
+
+  std::vector<std::uint64_t> collect() {
+    std::vector<std::uint64_t> held =
+        exchange(0, la::svc::Op::kCollect, nullptr, 0).names;
+    std::sort(held.begin(), held.end());
+    return held;
+  }
+
+ private:
+  la::svc::SegmentView seg_;
+  std::uint32_t ring_ = 0;
+};
+
+void test_free_wire_errors(la::svc::SegmentView seg) {
+  current = "free_wire_errors";
+  // Request-only pids, above any pid_max: the bitmaps key on them, the
+  // sweep never sees them (it reads the ring owner's pid).
+  constexpr std::uint32_t kPidA = 0x7000001;
+  constexpr std::uint32_t kPidB = 0x7000002;
+  constexpr std::uint32_t kBatch = 16;
+
+  la::scale::ShardedConfig sharded;
+  sharded.shards = 4;
+  la::core::LevelArrayConfig level;
+  level.capacity = kCapacity / sharded.shards;
+  la::scale::ShardedRenamer<la::core::LevelArray> structure(
+      sharded, [&level](std::uint32_t) {
+        return std::make_unique<la::core::LevelArray>(level);
+      });
+  la::svc::Server<la::scale::ShardedRenamer<la::core::LevelArray>> server(
+      seg, structure);
+  server.start();
+
+  RawPort port(seg);
+  std::vector<std::uint64_t> a = port.get(kPidA, 3 * kBatch);
+  const std::vector<std::uint64_t> b = port.get(kPidB, 1);
+  std::vector<std::uint64_t> untracked;  // held by the structure alone
+  std::uint64_t freed = 0;
+
+  // Free-16 of A's oldest names with `bad` at `at`; expects `status` at
+  // `at` when `stops`, else a clean kOk with the whole batch released.
+  auto run = [&](const char* name, std::uint64_t bad, std::uint32_t at,
+                 la::svc::Status status, bool stops) {
+    current = std::string("free_wire_errors/") + name;
+    std::vector<std::uint64_t> batch(a.begin(), a.begin() + kBatch);
+    batch[at] = bad;
+    const RawPort::Reply reply =
+        port.exchange(kPidA, la::svc::Op::kFreeK, batch.data(), kBatch);
+    const std::uint32_t released = stops ? at : kBatch;
+    CHECK(reply.status == status);
+    CHECK(reply.error_index == (stops ? at : 0));
+    CHECK(reply.count == released);
+    // Exactly the released names left A's holds (the bad one, when it
+    // was A's own earlier name, went with the prefix).
+    for (std::uint32_t i = 0; i < released; ++i) {
+      const auto it = std::find(a.begin(), a.end(), batch[i]);
+      if (it != a.end()) a.erase(it);
+      const auto u = std::find(untracked.begin(), untracked.end(), batch[i]);
+      if (u != untracked.end()) untracked.erase(u);
+    }
+    freed += released;
+    CHECK(server.stats().names_freed == freed);
+    std::vector<std::uint64_t> expect = a;
+    expect.insert(expect.end(), b.begin(), b.end());
+    expect.insert(expect.end(), untracked.begin(), untracked.end());
+    std::sort(expect.begin(), expect.end());
+    CHECK(port.collect() == expect);
+  };
+
+  const std::uint64_t total = seg.header().total_slots.load();
+  run("out_of_range", total + 3, 7, la::svc::Status::kOutOfRange, true);
+  run("duplicate", a[2], 9, la::svc::Status::kNotHeld, true);
+  run("foreign", b[0], 5, la::svc::Status::kForeign, true);
+  la::rng::MarsagliaXorshift rng(29);
+  untracked.push_back(structure.get(rng).name);
+  run("untracked_held", untracked[0], 4, la::svc::Status::kOk, false);
+
+  current = "free_wire_errors";
+  CHECK(server.error().empty());
+  server.stop();
+}
+
 }  // namespace
 
 int main() {
@@ -294,6 +468,7 @@ int main() {
   svc::Segment segment_a(seg_config);  // server-death test
   svc::Segment segment_b(seg_config);  // forged-token test
   svc::Segment segment_c(seg_config);  // death-mid-collect test
+  svc::Segment segment_d(seg_config);  // Free-k wire-error test
 
   // Fork every child before any thread exists in this process.
   const pid_t server_pid = ::fork();
@@ -326,6 +501,7 @@ int main() {
   test_server_death(segment_a.view(), server_pid);
   test_server_death_mid_collect(segment_c.view(), collect_server_pid);
   test_forged_token(segment_b.view(), holder_pid);
+  test_free_wire_errors(segment_d.view());
 
   if (failures == 0) {
     std::printf("test_svc_failures: all checks passed\n");
