@@ -23,7 +23,10 @@
 // and each expiry probes the server's liveness (the shutdown flag, then
 // the published server pid) so a server that dies without answering —
 // SIGKILL sets no flag — turns into a distinct "server process died"
-// runtime_error instead of an unbounded re-park loop.
+// runtime_error instead of an unbounded re-park loop. Spin rounds are
+// tallied in a local and published with one relaxed fetch_add per wait
+// (before the park tier, at the end, or on a throw), so threads sharing
+// a Client do not bounce a counter line on every spin.
 //
 // Bounded-wait Gets (get_for / get_batch_for) stamp the caller's
 // absolute CLOCK_MONOTONIC deadline into the request; the *server*
@@ -68,6 +71,15 @@ class Client {
         throw std::runtime_error("svc::Client: server shut down before ready");
       }
       backoff.pause();
+    }
+    // A segment laid out by a different build would be misread silently.
+    const Header& h = seg_.header();
+    if (h.magic != kSegmentMagic || h.version != kSegmentVersion) {
+      throw std::runtime_error(
+          std::string("svc::Client: segment magic/version mismatch (magic ") +
+          (h.magic == kSegmentMagic ? "ok" : "wrong") + ", version " +
+          std::to_string(h.version) + ", this build reads version " +
+          std::to_string(kSegmentVersion) + ")");
     }
     shared_ring_ = claim_ring();
     if (shared_ring_ == kNoRing) {
@@ -157,9 +169,9 @@ class Client {
 
   api::WaitStats wait_stats() const {
     api::WaitStats w;
-    w.wait_rounds = wait_rounds_.load(std::memory_order_relaxed);
-    w.parks = parks_.load(std::memory_order_relaxed);
-    w.timeouts = timeouts_.load(std::memory_order_relaxed);
+    w.wait_rounds = waits_.wait_rounds.load(std::memory_order_relaxed);
+    w.parks = waits_.parks.load(std::memory_order_relaxed);
+    w.timeouts = waits_.timeouts.load(std::memory_order_relaxed);
     return w;
   }
 
@@ -170,6 +182,28 @@ class Client {
   static std::uint64_t wire_deadline(std::uint64_t deadline_ns) {
     return deadline_ns == api::kNoDeadline ? 0 : deadline_ns;
   }
+
+  // Spin rounds of one wait, counted locally and published to
+  // waits_.wait_rounds by flush() — before a park, and on every exit
+  // from the wait (return or throw) via the destructor.
+  class RoundTally {
+   public:
+    explicit RoundTally(std::atomic<std::uint64_t>& sink) : sink_(sink) {}
+    ~RoundTally() { flush(); }
+    RoundTally(const RoundTally&) = delete;
+    RoundTally& operator=(const RoundTally&) = delete;
+
+    void add() { ++rounds_; }
+    void flush() {
+      if (rounds_ == 0) return;
+      sink_.fetch_add(rounds_, std::memory_order_relaxed);
+      rounds_ = 0;
+    }
+
+   private:
+    std::atomic<std::uint64_t>& sink_;
+    std::uint64_t rounds_ = 0;
+  };
 
   // ---- ring claim / release -----------------------------------------
 
@@ -248,6 +282,7 @@ class Client {
     auto ring = seg_.request_ring(r);
     const std::uint32_t pos = cs.req_tail.load(std::memory_order_relaxed);
     sync::Backoff backoff;
+    RoundTally rounds(waits_.wait_rounds);
     RequestSlot* slot;
     while ((slot = ring.try_begin_push(pos)) == nullptr) {
       // A full request ring normally clears in microseconds (the server
@@ -258,7 +293,7 @@ class Client {
       // forever. Same escalation as await_response: once the spin/yield
       // tiers are exhausted, probe shutdown and the published server
       // pid, then keep spinning.
-      wait_rounds_.fetch_add(1, std::memory_order_relaxed);
+      rounds.add();
       if (backoff.should_park()) {
         if (seg_.header().shutdown.load(std::memory_order_acquire) != 0) {
           throw std::runtime_error(
@@ -296,13 +331,15 @@ class Client {
     auto ring = seg_.response_ring(r);
     const std::uint32_t pos = cs.resp_head.load(std::memory_order_relaxed);
     sync::Backoff backoff;
+    RoundTally rounds(waits_.wait_rounds);
     for (;;) {
       if (ResponseSlot* slot = ring.try_begin_pop(pos)) return slot;
       if (!backoff.should_park()) {
-        wait_rounds_.fetch_add(1, std::memory_order_relaxed);
+        rounds.add();
         backoff.pause();
         continue;
       }
+      rounds.flush();
       const std::uint32_t seen = cs.resp_bell.prepare_wait();
       if (ring.try_begin_pop(pos) != nullptr) {
         cs.resp_bell.cancel_wait();
@@ -315,7 +352,7 @@ class Client {
         if (ring.try_begin_pop(pos) != nullptr) continue;
         throw std::runtime_error("svc::Client: server shut down mid-request");
       }
-      parks_.fetch_add(1, std::memory_order_relaxed);
+      waits_.parks.fetch_add(1, std::memory_order_relaxed);
       // Timed so a dead server is *detected*, not slept through. A
       // clean stop sets the shutdown flag (caught above); a SIGKILLed
       // or crashed server sets nothing, so every expired park probes
@@ -368,7 +405,7 @@ class Client {
       if (status == Status::kTimedOut) {
         // The timed-out refusal, not an error: get_for/get_batch_for
         // surface it as false/0 per the api contract.
-        timeouts_.fetch_add(1, std::memory_order_relaxed);
+        waits_.timeouts.fetch_add(1, std::memory_order_relaxed);
         granted = 0;
       }
     } catch (...) {
@@ -445,9 +482,14 @@ class Client {
   std::uint32_t shared_ring_ = kNoRing;
   std::shared_ptr<scale::CacheControl> control_;
   sync::SpinLock shared_lock_;
-  mutable std::atomic<std::uint64_t> wait_rounds_{0};
-  mutable std::atomic<std::uint64_t> parks_{0};
-  mutable std::atomic<std::uint64_t> timeouts_{0};
+  // Every thread using this Client bumps these; their own line keeps
+  // the read-on-every-op fields above free of that traffic.
+  struct alignas(sync::kCacheLineSize) WaitCounters {
+    std::atomic<std::uint64_t> wait_rounds{0};
+    std::atomic<std::uint64_t> parks{0};
+    std::atomic<std::uint64_t> timeouts{0};
+  };
+  WaitCounters waits_;
 };
 
 }  // namespace la::svc

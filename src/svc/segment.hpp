@@ -11,7 +11,8 @@
 //                           flags, the global server doorbell, and a
 //                           small scratch array harnesses use to
 //                           coordinate across fork()
-//   [ClientSlot x max    ]  claim state, owning pid, persisted ring
+//   [ClientSlot x max    ]  three lines each: the client-written claim
+//                           state and cursors, the server-written
 //                           cursors, and the per-ring response bell
 //   [RequestSlot  x max * depth]   client -> server ring storage
 //   [ResponseSlot x max * depth]   server -> client ring storage
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "svc/protocol.hpp"
 #include "svc/ring.hpp"
@@ -36,6 +38,9 @@
 namespace la::svc {
 
 inline constexpr std::uint64_t kSegmentMagic = 0x4C41'5356'4331ull;  // LASVC1
+// Bumped whenever the layout below changes; svc::Client refuses to attach
+// to a segment whose magic or version differs from its own.
+inline constexpr std::uint32_t kSegmentVersion = 2;
 inline constexpr std::uint32_t kScratchWords = 16;
 
 struct SegmentConfig {
@@ -45,7 +50,7 @@ struct SegmentConfig {
 
 struct alignas(sync::kCacheLineSize) Header {
   std::uint64_t magic = 0;
-  std::uint32_t version = 1;
+  std::uint32_t version = kSegmentVersion;
   std::uint32_t max_clients = 0;
   std::uint32_t ring_depth = 0;
   // Structure geometry, published by the server before `ready` so a
@@ -67,10 +72,25 @@ struct alignas(sync::kCacheLineSize) Header {
   std::atomic<std::uint64_t> scratch[kScratchWords] = {};
 };
 
+// One client ring's control block, laid out so every hot line has
+// exactly one writer (two endpoints writing one line bounce it between
+// cores on every exchange):
+//
+//   line | fields                                      | written by
+//   -----+---------------------------------------------+-----------------
+//     0  | state, pid, claim_token, req_tail, resp_head | client
+//     1  | req_head, resp_tail                          | server
+//     2  | resp_bell                                    | server signals,
+//        |                                              | client parks
+//
+// The dead-client sweep is the only path that writes both line 0 and
+// line 1: the claimant is provably gone, so the server resets the
+// client-side cursors to its own and frees the slot.
 struct alignas(sync::kCacheLineSize) ClientSlot {
   static constexpr std::uint32_t kFree = 0;
   static constexpr std::uint32_t kClaimed = 1;
 
+  // ---- line 0: client-written ----
   std::atomic<std::uint32_t> state{kFree};
   std::atomic<std::uint32_t> pid{0};
   // Claim generation token: the claimant's kernel start time
@@ -83,13 +103,28 @@ struct alignas(sync::kCacheLineSize) ClientSlot {
   // Persisted ring cursors (see ring.hpp): each is written only by its
   // endpoint; the claim CAS publishes them to the next claimant.
   std::atomic<std::uint32_t> req_tail{0};   // producer: client
-  std::atomic<std::uint32_t> req_head{0};   // consumer: server
-  std::atomic<std::uint32_t> resp_tail{0};  // producer: server
   std::atomic<std::uint32_t> resp_head{0};  // consumer: client
-  // The client's eventcount: the server signals after every response
-  // push; a client out of spin/yield budget parks here.
-  sync::FutexWord resp_bell{true};
+
+  // ---- line 1: server-written ----
+  alignas(sync::kCacheLineSize)
+      std::atomic<std::uint32_t> req_head{0};  // consumer: server
+  std::atomic<std::uint32_t> resp_tail{0};  // producer: server
+
+  // ---- line 2: the client's eventcount ----
+  // The server signals after every response push; a client out of
+  // spin/yield budget parks here.
+  alignas(sync::kCacheLineSize) sync::FutexWord resp_bell{true};
 };
+
+static_assert(std::is_standard_layout_v<ClientSlot>);
+static_assert(sizeof(ClientSlot) == 3 * sync::kCacheLineSize);
+static_assert(offsetof(ClientSlot, resp_head) < sync::kCacheLineSize,
+              "client-written fields share line 0");
+static_assert(offsetof(ClientSlot, req_head) == sync::kCacheLineSize &&
+                  offsetof(ClientSlot, resp_tail) < 2 * sync::kCacheLineSize,
+              "server-written cursors share line 1");
+static_assert(offsetof(ClientSlot, resp_bell) == 2 * sync::kCacheLineSize,
+              "the response bell sits alone on line 2");
 
 // A non-owning, trivially copyable window onto a mapped segment. Both
 // sides of a fork hold the same view (same base address).

@@ -25,6 +25,15 @@
 //     whole response (status, error_index, released count) is visible;
 //     svc::Client folds it into an exception.
 //
+//   * Segment version check — a Client refuses (runtime_error) to attach
+//     to a segment whose magic or layout version is not its own, rather
+//     than misread a differently laid out ClientSlot table.
+//   * Wait counters — the client tallies spin rounds locally and
+//     publishes them once per wait. A fake server built from raw slot
+//     accesses holds responses back to prove no round is dropped: short
+//     holds that end in the spin tier, and a hold through the park tier
+//     whose rounds must be visible *while* the client is parked.
+//
 // Fork choreography (same rules as test_svc_reclaim): every child is
 // forked before any thread exists in the parent; the holder child blocks
 // in the Client ctor until its segment's server publishes ready.
@@ -458,6 +467,153 @@ void test_free_wire_errors(la::svc::SegmentView seg) {
   server.stop();
 }
 
+// A segment with `ready` raised by hand and this (live) process as its
+// server: enough for a Client to attach with no Server running.
+void mark_ready(la::svc::SegmentView seg) {
+  seg.header().server_pid.store(la::svc::this_pid(),
+                                std::memory_order_release);
+  seg.header().ready.store(1, std::memory_order_release);
+}
+
+void test_segment_version() {
+  current = "segment_version";
+  la::svc::SegmentConfig config;
+  config.max_clients = 2;
+  // The Client ctor's error for a segment altered by `corrupt`, or ""
+  // when it attached.
+  auto attach = [&](auto corrupt) -> std::string {
+    la::svc::Segment segment(config);
+    corrupt(segment.view().header());
+    mark_ready(segment.view());
+    try {
+      la::svc::Client client(segment.view());
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string kMismatch = "magic/version mismatch";
+  // Negative control: an untouched segment attaches.
+  CHECK(attach([](la::svc::Header&) {}).empty());
+  CHECK(attach([](la::svc::Header& h) { h.magic ^= 1; }).find(kMismatch) !=
+        std::string::npos);
+  CHECK(attach([](la::svc::Header& h) {
+          h.version = la::svc::kSegmentVersion - 1;
+        }).find(kMismatch) != std::string::npos);
+}
+
+void test_wait_counters() {
+  current = "wait_counters";
+  la::svc::SegmentConfig config;
+  config.max_clients = 4;
+  la::svc::Segment segment(config);
+  const la::svc::SegmentView seg = segment.view();
+  mark_ready(seg);  // a live server pid: expired parks re-park
+  la::svc::Client client(seg);
+
+  constexpr int kShortHolds = 16;
+  // Set by the client before its held-to-park exchange; read by the fake
+  // server once it has popped that request (the ring orders the two).
+  std::atomic<std::uint64_t> rounds_before{0};
+  std::atomic<std::uint64_t> parks_before{0};
+  std::atomic<bool> rounds_seen_parked{false};
+
+  // Pop the next request off whichever ring carries one.
+  auto take = [&]() -> std::uint32_t {
+    la::sync::Backoff backoff;
+    for (;;) {
+      for (std::uint32_t r = 0; r < config.max_clients; ++r) {
+        la::svc::ClientSlot& cs = seg.client_slot(r);
+        auto ring = seg.request_ring(r);
+        const std::uint32_t pos = cs.req_head.load(std::memory_order_relaxed);
+        if (la::svc::RequestSlot* req = ring.try_begin_pop(pos)) {
+          ring.commit_pop(*req, pos);
+          cs.req_head.store(pos + 1, std::memory_order_relaxed);
+          return r;
+        }
+      }
+      backoff.pause();
+    }
+  };
+  // Answer ring r's oldest request kOk and ring its bell.
+  auto answer = [&](std::uint32_t r) {
+    la::svc::ClientSlot& cs = seg.client_slot(r);
+    auto ring = seg.response_ring(r);
+    const std::uint32_t pos = cs.resp_tail.load(std::memory_order_relaxed);
+    la::svc::ResponseSlot* resp = ring.try_begin_push(pos);
+    if (resp == nullptr) return;  // cannot happen: one exchange in flight
+    resp->status = la::svc::Status::kOk;
+    resp->count = 0;
+    resp->error_index = 0;
+    resp->more = 0;
+    ring.commit_push(*resp, pos);
+    cs.resp_tail.store(pos + 1, std::memory_order_relaxed);
+    cs.resp_bell.signal();
+  };
+  // True once pred() holds, false after 10 s.
+  auto await = [](auto pred) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!pred()) {
+      if (std::chrono::steady_clock::now() > until) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+
+  std::thread fake_server([&] {
+    // Short holds: a few microseconds, well inside the spin tier.
+    for (int i = 0; i < kShortHolds; ++i) {
+      const std::uint32_t r = take();
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(5);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      answer(r);
+    }
+    // Held until the client parks. The rounds it spun first must be
+    // published before the park, so they show while it sleeps.
+    const std::uint32_t r = take();
+    const std::uint64_t parks = parks_before.load(std::memory_order_relaxed);
+    const std::uint64_t rounds =
+        rounds_before.load(std::memory_order_relaxed);
+    if (await([&] { return client.wait_stats().parks > parks; })) {
+      rounds_seen_parked.store(
+          await([&] { return client.wait_stats().wait_rounds > rounds; }),
+          std::memory_order_relaxed);
+    }
+    // Past two 100 ms park timeouts: the expired park re-parks (the
+    // server pid is alive) and counts again.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    answer(r);
+  });
+
+  // A wait that ends in the spin tier publishes its rounds on return. A
+  // client descheduled past the whole hold finds its answer at once and
+  // spins none, so only "some short exchange advanced" is asserted.
+  bool short_advanced = false;
+  for (int i = 0; i < kShortHolds; ++i) {
+    const la::api::WaitStats before = client.wait_stats();
+    client.free(1);
+    const la::api::WaitStats after = client.wait_stats();
+    if (after.parks == before.parks && after.wait_rounds > before.wait_rounds) {
+      short_advanced = true;
+    }
+  }
+  CHECK(short_advanced);
+
+  const la::api::WaitStats before = client.wait_stats();
+  rounds_before.store(before.wait_rounds, std::memory_order_relaxed);
+  parks_before.store(before.parks, std::memory_order_relaxed);
+  client.free(1);
+  fake_server.join();
+  const la::api::WaitStats after = client.wait_stats();
+  CHECK(rounds_seen_parked.load(std::memory_order_relaxed));
+  CHECK(after.parks >= before.parks + 2);
+  CHECK(after.wait_rounds > before.wait_rounds);
+  CHECK(after.wait_rounds >= after.parks);
+}
+
 }  // namespace
 
 int main() {
@@ -502,6 +658,8 @@ int main() {
   test_server_death_mid_collect(segment_c.view(), collect_server_pid);
   test_forged_token(segment_b.view(), holder_pid);
   test_free_wire_errors(segment_d.view());
+  test_segment_version();
+  test_wait_counters();
 
   if (failures == 0) {
     std::printf("test_svc_failures: all checks passed\n");

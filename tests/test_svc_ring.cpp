@@ -7,7 +7,8 @@
 // a real producer/consumer thread pair with the consumer parked on an
 // eventcount (every item must arrive, in order, with no lost wakeup),
 // and an eventcount ping-pong that only terminates if no signal is ever
-// dropped. Run under TSan by scripts/check.sh tsan.
+// dropped; plus the segment's ClientSlot layout, one writer per cache
+// line. Run under TSan by scripts/check.sh tsan.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +18,8 @@
 
 #include "svc/protocol.hpp"
 #include "svc/ring.hpp"
+#include "svc/segment.hpp"
+#include "sync/cache.hpp"
 #include "sync/futex.hpp"
 #include "sync/spin_barrier.hpp"
 
@@ -252,6 +255,38 @@ void check_eventcount_ping_pong() {
   CHECK(turn.load() == 2 * kRounds);
 }
 
+// Each ClientSlot in a real segment keeps the client-written fields, the
+// server-written cursors and the response bell on three distinct lines,
+// and no slot shares a line with its neighbour (segment.hpp pins the
+// same at compile time; this checks the mapped addresses).
+void check_client_slot_layout() {
+  current = "client-slot-layout";
+  la::svc::SegmentConfig config;
+  config.max_clients = 3;
+  la::svc::Segment segment(config);
+  const la::svc::SegmentView view = segment.view();
+  CHECK(view.header().magic == la::svc::kSegmentMagic);
+  CHECK(view.header().version == la::svc::kSegmentVersion);
+  auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / la::sync::kCacheLineSize;
+  };
+  std::uintptr_t previous_bell = 0;
+  for (std::uint32_t i = 0; i < config.max_clients; ++i) {
+    const la::svc::ClientSlot& cs = view.client_slot(i);
+    const std::uintptr_t client = line(&cs.state);
+    CHECK(line(&cs.pid) == client);
+    CHECK(line(&cs.claim_token) == client);
+    CHECK(line(&cs.req_tail) == client);
+    CHECK(line(&cs.resp_head) == client);
+    const std::uintptr_t server = line(&cs.req_head);
+    CHECK(line(&cs.resp_tail) == server);
+    const std::uintptr_t bell = line(&cs.resp_bell);
+    CHECK(client < server && server < bell);
+    CHECK(i == 0 || previous_bell < client);
+    previous_bell = bell;
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -261,6 +296,7 @@ int main() {
   check_reset_discards_inflight();
   check_threaded_spsc_eventcount();
   check_eventcount_ping_pong();
+  check_client_slot_layout();
   if (failures == 0) {
     std::printf("test_svc_ring: all checks passed\n");
     return 0;
