@@ -22,6 +22,7 @@
 // of names carried across. Exit status is the number of failed checks,
 // so scripts/check.sh and CI gate on it directly; the JSON feeds
 // validate_bench_json.py --migrate-gate.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "arrays/linear_probing_array.hpp"
+#include "bench_util/churn_exchange.hpp"
 #include "bench_util/options.hpp"
 #include "bench_util/report.hpp"
 #include "bench_util/timing.hpp"
@@ -61,12 +63,14 @@ struct ThreadResult {
   double secs_post = 0.0;
 };
 
-// One client thread's churn loop: batched Free-k then Get-k bounded by
-// its share, every op ticketed into the local event log (Free before
-// the release, Get after the grant — see stress/event_log.hpp). The
-// thread splits its op/elapsed counters the first time it observes the
-// migrated flag, and holds its names across the boundary: the drain at
-// the end waits for the migration, so every thread's trace spans it.
+// One client thread's churn loop: churn_exchange Free-k then Get-k
+// bounded by its share, every op ticketed into the local event log
+// (Free before the release, Get after the grant — see
+// stress/event_log.hpp). Every op, prefill included, is published to
+// `global_ops`, the coordinator's progress signal. The thread splits its
+// op/elapsed counters the first time it observes the migrated flag, and
+// holds its names across the boundary: the drain at the end waits for
+// the migration, so every thread's trace spans it.
 void churn(svc::SegmentView seg, stress::EpochClock& clock,
            std::uint32_t idx, std::uint64_t ops_target, std::uint64_t share,
            std::uint64_t batch, std::uint64_t seed,
@@ -75,58 +79,34 @@ void churn(svc::SegmentView seg, stress::EpochClock& clock,
   svc::Client client(seg);
   rng::MarsagliaXorshift rng(rng::mix_seed(seed, idx + 1));
   r.log.reserve(ops_target + 2 * share);
-  std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> victims(batch);
-  std::vector<GetResult> got(batch);
+  bench::ChurnStash stash;
   std::uint64_t ops = 0;
   bool saw_migrate = false;
+  const auto on_free = [&](std::uint64_t name) {
+    r.log.record(clock, idx, stress::Op::kFree, name);
+  };
+  const auto on_get = [&](const GetResult& g) {
+    r.log.record(clock, idx, stress::Op::kGet, g.name);
+  };
+  // Free up to `free_k`, then refill by a batch without passing `share`.
+  const auto exchange = [&](std::size_t free_k) {
+    const std::size_t held = stash.names.size();
+    const std::size_t kept = held - std::min<std::size_t>(held, free_k);
+    const std::size_t want = std::min<std::size_t>(batch, share - kept);
+    const bench::ExchangeResult x = bench::churn_exchange(
+        client, rng, stash, free_k, want, api::kNoDeadline, on_free, on_get);
+    ops += x.freed + x.granted;
+    global_ops.fetch_add(x.freed + x.granted, std::memory_order_relaxed);
+  };
 
   bench::Stopwatch watch;
   // Prefill to the full share so the hold set stays near `share` for the
   // whole run — the migration always finds a substantial set of names to
   // carry across (capacity is exactly share * threads, so every thread
   // can reach its share).
-  {
-    sync::Backoff backoff;
-    while (held.size() < share) {
-      std::size_t want = batch;
-      if (held.size() + want > share) want = share - held.size();
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        r.log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      if (granted == 0) backoff.pause();
-    }
-  }
+  while (stash.names.size() < share) exchange(0);
   while (ops < ops_target) {
-    const std::size_t nfree = held.size() < batch ? held.size() : batch;
-    for (std::size_t j = 0; j < nfree; ++j) {
-      const std::uint64_t victim = rng::bounded(rng, held.size());
-      victims[j] = held[victim];
-      held[victim] = held.back();
-      held.pop_back();
-      r.log.record(clock, idx, stress::Op::kFree, victims[j]);
-    }
-    if (nfree != 0) {
-      client.free_batch(victims.data(), nfree);
-      ops += nfree;
-    }
-    std::size_t want = batch;
-    if (held.size() + want > share) want = share - held.size();
-    sync::Backoff backoff;
-    while (want != 0) {
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        r.log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      want -= granted;
-      if (want != 0) backoff.pause();
-    }
-    global_ops.fetch_add(1, std::memory_order_relaxed);
+    exchange(batch);
     if (!saw_migrate && migrated.load(std::memory_order_acquire) != 0) {
       saw_migrate = true;
       r.ops_pre = ops;
@@ -140,12 +120,12 @@ void churn(svc::SegmentView seg, stress::EpochClock& clock,
     sync::Backoff backoff;
     while (migrated.load(std::memory_order_acquire) == 0) backoff.pause();
   }
-  for (const auto name : held) {
-    r.log.record(clock, idx, stress::Op::kFree, name);
+  for (const auto name : stash.names) {
+    on_free(name);
     client.free(name);
     ++ops;
   }
-  held.clear();
+  stash.names.clear();
   const double total = watch.elapsed_seconds();
   if (!saw_migrate) {  // migration raced past the loop's last check
     r.ops_pre = ops;
@@ -236,14 +216,18 @@ int main(int argc, char** argv) {
     });
   }
 
-  // Migrate mid-run: wait for ~40% of the round count, then swap the
-  // structure while the clients are still churning.
-  const std::uint64_t rounds_target =
-      (static_cast<std::uint64_t>(threads) * ops_target) / (2 * batch + 1);
+  // Migrate mid-run: wait until 40% of every thread's op budget is
+  // spent, then swap the structure while the clients are still
+  // churning. Each thread counts its prefill toward the same ops it
+  // publishes, and leaves its loop only past its full budget, so the
+  // threshold is always reached.
   {
+    const std::uint64_t threshold =
+        static_cast<std::uint64_t>(threads) * ops_target * 2 / 5;
     sync::Backoff backoff;
-    while (global_ops.load(std::memory_order_relaxed) < (rounds_target * 2) / 5)
+    while (global_ops.load(std::memory_order_relaxed) < threshold) {
       backoff.pause();
+    }
   }
 
   int failures = 0;

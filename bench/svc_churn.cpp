@@ -27,6 +27,7 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +40,7 @@
 #include <unistd.h>
 
 #include "bench_util/algos.hpp"
+#include "bench_util/churn_exchange.hpp"
 #include "bench_util/options.hpp"
 #include "bench_util/report.hpp"
 #include "bench_util/timing.hpp"
@@ -81,45 +83,31 @@ int churn(svc::SegmentView seg, std::uint32_t idx, std::uint64_t ops_target,
   stress::EpochClock clock;
   stress::EventLog log;
   log.reserve(ops_target + 2 * share);
-  std::vector<std::uint64_t> held;
-  std::vector<std::uint64_t> victims(batch);
-  std::vector<GetResult> got(batch);
+  bench::ChurnStash stash;
   std::uint64_t ops = 0;
+  const auto on_free = [&](std::uint64_t name) {
+    log.record(clock, idx, stress::Op::kFree, name);
+  };
+  const auto on_get = [&](const GetResult& r) {
+    log.record(clock, idx, stress::Op::kGet, r.name);
+  };
 
   bench::Stopwatch watch;
   while (ops < ops_target) {
-    const std::size_t nfree = held.size() < batch ? held.size() : batch;
-    for (std::size_t j = 0; j < nfree; ++j) {
-      const std::uint64_t victim = rng::bounded(rng, held.size());
-      victims[j] = held[victim];
-      held[victim] = held.back();
-      held.pop_back();
-      // Free tickets before the release (see event_log.hpp).
-      log.record(clock, idx, stress::Op::kFree, victims[j]);
-    }
-    if (nfree != 0) {
-      client.free_batch(victims.data(), nfree);
-      ops += nfree;
-    }
-    std::size_t want = batch;
-    if (held.size() + want > share) want = share - held.size();
-    sync::Backoff backoff;
-    while (want != 0) {
-      const std::size_t granted = client.get_batch(rng, got.data(), want);
-      for (std::size_t j = 0; j < granted; ++j) {
-        log.record(clock, idx, stress::Op::kGet, got[j].name);
-        held.push_back(got[j].name);
-      }
-      ops += granted;
-      want -= granted;
-      if (want != 0) backoff.pause();
-    }
+    // Free up to a batch, then refill by a batch without passing the
+    // client's share of the contention bound.
+    const std::size_t held = stash.names.size();
+    const std::size_t kept = held - std::min<std::size_t>(held, batch);
+    const std::size_t want = std::min<std::size_t>(batch, share - kept);
+    const bench::ExchangeResult x = bench::churn_exchange(
+        client, rng, stash, batch, want, api::kNoDeadline, on_free, on_get);
+    ops += x.freed + x.granted;
   }
-  for (const auto name : held) {
-    log.record(clock, idx, stress::Op::kFree, name);
+  for (const auto name : stash.names) {
+    on_free(name);
     client.free(name);
   }
-  held.clear();
+  stash.names.clear();
   const double elapsed = watch.elapsed_seconds();
 
   seg.header().scratch[ops_word(idx)].store(ops, std::memory_order_relaxed);
@@ -146,16 +134,11 @@ int churn(svc::SegmentView seg, std::uint32_t idx, std::uint64_t ops_target,
                                std::uint64_t seed) {
   svc::Client client(seg);
   rng::MarsagliaXorshift rng(rng::mix_seed(seed, 0xDEADu));
-  std::vector<GetResult> got(hold);
-  std::size_t have = 0;
-  sync::Backoff backoff;
-  while (have < hold) {
-    const std::size_t granted =
-        client.get_batch(rng, got.data() + have, hold - have);
-    have += granted;
-    if (have < hold) backoff.pause();
-  }
-  seg.header().scratch[0].store(have, std::memory_order_release);
+  bench::ChurnStash stash;
+  bench::churn_exchange(client, rng, stash, 0, hold, api::kNoDeadline,
+                        [](std::uint64_t) {}, [](const GetResult&) {});
+  seg.header().scratch[0].store(stash.names.size(),
+                                std::memory_order_release);
   for (;;) std::this_thread::yield();  // parked mid-hold until SIGKILL
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/renamer.hpp"
+#include "bench_util/churn_exchange.hpp"
 #include "bench_util/timing.hpp"
 #include "rng/rng.hpp"
 #include "stats/summary.hpp"
@@ -40,17 +41,17 @@ struct DriverConfig {
   std::uint64_t seed = 42;
   // Probe RNG for the prefill and churn loops (paper §6 ablates this).
   rng::RngKind rng_kind = rng::RngKind::kMarsaglia;
-  // Names per batched Free/Get exchange in the churn loop. 1 = the
-  // classic single-op loop; >1 routes through api::free_batch /
-  // api::get_batch (native amortized paths where the structure has
-  // them, the single-op fallback elsewhere). ops still counts
-  // individual Gets and Frees.
+  // Names per Free-k/Get-k churn_exchange in the churn loop. 1 = the
+  // classic single-op loop (api::get_for, the per-Get probe path); >1
+  // claims through api::get_batch_for (native amortized paths where the
+  // structure has them, the single-op fallback elsewhere). ops still
+  // counts individual Gets and Frees.
   std::uint64_t batch = 1;
-  // Per-exchange Get budget in nanoseconds (0 = wait forever). Routed
-  // through api::get_for / api::get_batch_for on structures with
-  // deadline ops (api::has_deadline_ops_v); an expired exchange is
+  // Per-exchange Get budget in nanoseconds (0 = wait forever), passed to
+  // churn_exchange as an absolute deadline; an expired exchange is
   // abandoned and counted in RunResult::timeouts. Structures without
-  // the native surface ignore it (their untimed fallback cannot refuse).
+  // deadline ops (api::has_deadline_ops_v) ignore it: their untimed
+  // fallback cannot refuse.
   std::uint64_t deadline_ns = 0;
 
   std::uint64_t emulated_registrants() const {
@@ -74,10 +75,10 @@ struct RunResult {
   double throughput_ops_per_sec = 0.0;
   double mean_per_thread_worst = 0.0;  // worst case averaged over threads
   std::uint64_t backup_gets = 0;
-  // Gate-refusal waiting: retry rounds the drive loop backed off for
-  // structures without deadline ops, plus what the structure itself
-  // reports (api::WaitStats) — its own retry rounds and the futex parks
-  // taken once its waits outlived the spin and yield tiers.
+  // Gate-refusal waiting, as the structure reports it (api::WaitStats):
+  // its own retry rounds and the futex parks taken once its waits
+  // outlived the spin and yield tiers. Structures that cannot refuse
+  // report none.
   std::uint64_t gate_wait_rounds = 0;
   std::uint64_t gate_parks = 0;
   // Caller-observed timed-out refusals (deadline_ns exchanges that
@@ -112,19 +113,19 @@ struct ThreadOutput {
   stats::TrialStats trials;
   std::uint64_t ops = 0;
   std::uint64_t backup_gets = 0;
-  std::uint64_t wait_rounds = 0;  // batched-retry refusal rounds
   std::uint64_t timeouts = 0;     // deadline_ns exchanges that expired
   // The thread's stash of held names lives here so its header shares the
   // padded cache line with the thread's own counters, not a neighbor's.
-  std::vector<std::uint64_t> held;
+  ChurnStash stash;
   // Barrier-to-loop-end time, so throughput excludes spawn/join/drain.
   double seconds_active = 0.0;
 };
 
 // The churn loop proper. Each thread owns a stash of held names (its
-// share of the prefill, plus whatever it registers); every iteration
-// frees one random stashed name and registers a new one — the paper's
-// back-to-back register/deregister pattern at constant load.
+// share of the prefill, plus whatever it registers); every iteration is
+// one churn_exchange: free `batch` random stashed names and register as
+// many new ones — the paper's back-to-back register/deregister pattern
+// at constant load.
 template <typename Array, typename Rng>
 RunResult drive(Array& array, const DriverConfig& d) {
   const std::uint32_t threads = d.threads == 0 ? 1 : d.threads;
@@ -145,12 +146,16 @@ RunResult drive(Array& array, const DriverConfig& d) {
   {
     Rng prefill_rng(rng::mix_seed(d.seed, 0xF111u));
     for (std::uint64_t i = 0; i < target; ++i) {
-      outputs[i % threads]->held.push_back(array.get(prefill_rng).name);
+      outputs[i % threads]->stash.names.push_back(
+          array.get(prefill_rng).name);
     }
   }
 
   const std::size_t batch =
       d.batch == 0 ? 1 : static_cast<std::size_t>(d.batch);
+  // Timed mode reads the clock every 64 single-op exchanges, or every 8
+  // batched ones (at most one read per 16 ops even at batch = 2).
+  const std::uint64_t poll_mask = batch == 1 ? 63u : 7u;
 
   sync::SpinBarrier barrier(threads);
   {
@@ -158,135 +163,48 @@ RunResult drive(Array& array, const DriverConfig& d) {
     group.spawn(threads, [&](std::uint32_t tid) {
       Rng rng(rng::mix_seed(d.seed, tid + 1));
       ThreadOutput& out = *outputs[tid];
-      std::vector<std::uint64_t>& held = out.held;
-      std::vector<std::uint64_t> victims(batch);
-      std::vector<GetResult> got(batch);
+      const auto on_get = [&out](const GetResult& r) {
+        out.trials.record(r.probes);
+        if (r.used_backup) ++out.backup_gets;
+      };
       barrier.wait();
       Stopwatch local;
-      // The batched retry loop's wait bound when no per-exchange
-      // deadline is set: the end of a timed run, else forever.
+      // Each exchange waits until its own budget, else the end of a
+      // timed run, else forever. Only an expired budget is a timed-out
+      // refusal — the run ending is not.
       const std::uint64_t run_end_ns =
           timed ? sync::FutexWord::monotonic_now_ns() +
                       static_cast<std::uint64_t>(d.seconds * 1e9)
                 : api::kNoDeadline;
-      if (batch == 1) {
-        for (std::uint64_t iter = 0;; ++iter) {
-          if (timed) {
-            if ((iter & 63u) == 0 && local.elapsed_seconds() >= d.seconds) {
-              break;
-            }
-          } else if (out.ops >= d.ops_per_thread) {
-            // ops counts Gets and Frees individually, matching the
-            // paper's "register and unregister operations" accounting.
+      for (std::uint64_t iter = 0;; ++iter) {
+        if (timed) {
+          if ((iter & poll_mask) == 0 && local.elapsed_seconds() >= d.seconds) {
             break;
           }
-          if (!held.empty()) {
-            const std::uint64_t victim = rng::bounded(rng, held.size());
-            array.free(held[victim]);
-            held[victim] = held.back();
-            held.pop_back();
-            ++out.ops;
-          }
-          GetResult r;
-          bool granted = true;
-          if constexpr (api::has_deadline_ops_v<Array>) {
-            if (d.deadline_ns != 0) {
-              granted = api::get_for(
-                  array, rng, r,
-                  sync::FutexWord::monotonic_now_ns() + d.deadline_ns);
-            } else {
-              r = array.get(rng);
-            }
-          } else {
-            r = array.get(rng);
-          }
-          if (!granted) {
-            // Timed-out refusal: the attempt still spends loop budget
-            // (otherwise an ops-mode run on a saturated structure would
-            // never terminate).
-            ++out.timeouts;
-            ++out.ops;
-            continue;
-          }
-          out.trials.record(r.probes);
-          if (r.used_backup) ++out.backup_gets;
-          held.push_back(r.name);
-          ++out.ops;
+        } else if (out.ops >= d.ops_per_thread) {
+          // ops counts Gets and Frees individually, matching the
+          // paper's "register and unregister operations" accounting.
+          break;
         }
-      } else {
-        // Batched churn: one Free-k/Get-k exchange per iteration (each
-        // iteration is ~2*batch ops, so the clock poll every 8 is at
-        // most one read per 16 ops even at batch=2).
-        for (std::uint64_t iter = 0;; ++iter) {
-          if (timed) {
-            if ((iter & 7u) == 0 && local.elapsed_seconds() >= d.seconds) {
-              break;
-            }
-          } else if (out.ops >= d.ops_per_thread) {
-            break;
-          }
-          const std::size_t nfree =
-              held.size() < batch ? held.size() : batch;
-          for (std::size_t j = 0; j < nfree; ++j) {
-            const std::uint64_t victim = rng::bounded(rng, held.size());
-            victims[j] = held[victim];
-            held[victim] = held.back();
-            held.pop_back();
-          }
-          if (nfree != 0) {
-            api::free_batch(array, victims.data(), nfree);
-            out.ops += nfree;
-          }
-          // A gate-bounded structure may grant the batch partially, so
-          // one retry loop tops the exchange up. Structures with deadline
-          // ops wait inside get_batch_for (their own spin/yield/park
-          // ladder) until the exchange's budget, or else the run's end
-          // (timed mode) or forever (ops mode); only an expired budget
-          // is a timed-out refusal — the run ending is not. Structures
-          // without deadline ops cannot wait for us, so their refused
-          // rounds back off here.
-          std::size_t want = batch;
-          std::uint64_t until = run_end_ns;
-          if (d.deadline_ns != 0) {
-            until = sync::FutexWord::monotonic_now_ns() + d.deadline_ns;
-          }
-          sync::Backoff backoff;
-          while (want != 0) {
-            std::size_t granted = 0;
-            if constexpr (api::has_deadline_ops_v<Array>) {
-              granted =
-                  api::get_batch_for(array, rng, got.data(), want, until);
-              if (granted == 0) {
-                if (d.deadline_ns != 0) {
-                  ++out.timeouts;
-                  ++out.ops;  // the refused remainder spends loop budget
-                }
-                break;
-              }
-            } else {
-              granted = api::get_batch(array, rng, got.data(), want);
-            }
-            for (std::size_t j = 0; j < granted; ++j) {
-              out.trials.record(got[j].probes);
-              if (got[j].used_backup) ++out.backup_gets;
-              held.push_back(got[j].name);
-            }
-            out.ops += granted;
-            want -= granted;
-            if constexpr (!api::has_deadline_ops_v<Array>) {
-              if (want != 0) {
-                if (timed && local.elapsed_seconds() >= d.seconds) break;
-                ++out.wait_rounds;
-                backoff.pause();
-              }
-            }
-          }
+        const std::uint64_t until =
+            d.deadline_ns != 0
+                ? sync::FutexWord::monotonic_now_ns() + d.deadline_ns
+                : run_end_ns;
+        const ExchangeResult x = churn_exchange(
+            array, rng, out.stash, batch, batch, until,
+            [](std::uint64_t) {}, on_get);
+        out.ops += x.freed + x.granted;
+        if (x.refused && d.deadline_ns != 0) {
+          // The refused remainder still spends loop budget (otherwise an
+          // ops-mode run on a saturated structure would never end).
+          ++out.timeouts;
+          ++out.ops;
         }
       }
       out.seconds_active = local.elapsed_seconds();
       // Drain the stash so the array is empty for the next run/chunk.
-      for (const auto name : held) array.free(name);
-      held.clear();
+      for (const auto name : out.stash.names) array.free(name);
+      out.stash.names.clear();
     });
   }
 
@@ -296,7 +214,6 @@ RunResult drive(Array& array, const DriverConfig& d) {
     result.trials.merge(out.trials);
     result.total_ops += out.ops;
     result.backup_gets += out.backup_gets;
-    result.gate_wait_rounds += out.wait_rounds;
     result.timeouts += out.timeouts;
     per_thread_worst.add(static_cast<double>(out.trials.worst_case()));
     // Slowest thread's barrier-to-loop-end time: excludes spawn, join,

@@ -76,16 +76,34 @@ std::uint64_t per_thread_target(const StressConfig& cfg) {
   return 1;
 }
 
+// What logged_get returns for a timed-out refusal; never a name (names
+// are < total_slots).
+constexpr std::uint64_t kRefused = ~std::uint64_t{0};
+
 // Shared bookkeeping for one worker's Get / Free, with logging in the
-// sound ticket order (see event_log.hpp).
+// sound ticket order (see event_log.hpp). `deadline_ns` is a per-Get
+// budget (0 = untimed, which cannot refuse). A timed-out refusal
+// acquired nothing, so nothing is logged and kRefused comes back, but it
+// still spends budget — ops mode must terminate even if every remaining
+// Get times out.
 template <typename Array, typename Rng>
 std::uint64_t logged_get(Array& array, Rng& rng, EpochClock& clock,
-                         ThreadState& st, std::uint32_t tid) {
-  const GetResult r = array.get(rng);
+                         ThreadState& st, std::uint32_t tid,
+                         std::uint64_t deadline_ns = 0) {
+  ++st.ops;
+  std::uint64_t until = api::kNoDeadline;
+  if (deadline_ns != 0) {
+    ++st.timed_gets;
+    until = sync::FutexWord::monotonic_now_ns() + deadline_ns;
+  }
+  GetResult r;
+  if (!api::get_for(array, rng, r, until)) {
+    ++st.timeouts;
+    return kRefused;
+  }
   st.log.record(clock, tid, Op::kGet, r.name);  // ticket after the acquire
   st.trials.record(r.probes);
   if (r.used_backup) ++st.backup_gets;
-  ++st.ops;
   return r.name;
 }
 
@@ -131,9 +149,7 @@ class Budget {
 // steady / oversub: back-to-back churn holding ~target names; oversub
 // only differs in how high target sits (just under the contention bound,
 // or above it when a deadline makes refusals survivable). `deadline_ns`
-// is the per-Get budget (0 = untimed); a refused Get acquired nothing,
-// so nothing is logged for it, but it still spends budget — ops mode
-// must terminate even if every remaining Get times out.
+// is the per-Get budget (0 = untimed).
 template <typename Array, typename Rng>
 void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
                       ThreadState& st, std::uint32_t tid,
@@ -148,27 +164,9 @@ void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
       st.held.pop_back();
       continue;
     }
-    if constexpr (api::has_deadline_ops_v<Array>) {
-      if (deadline_ns != 0) {
-        GetResult r;
-        ++st.timed_gets;
-        const bool granted = api::get_for(
-            array, rng, r,
-            sync::FutexWord::monotonic_now_ns() + deadline_ns);
-        if (!granted) {
-          ++st.timeouts;
-          ++st.ops;
-          continue;
-        }
-        st.log.record(clock, tid, Op::kGet, r.name);
-        st.trials.record(r.probes);
-        if (r.used_backup) ++st.backup_gets;
-        ++st.ops;
-        st.held.push_back(r.name);
-        continue;
-      }
-    }
-    st.held.push_back(logged_get(array, rng, clock, st, tid));
+    const std::uint64_t name =
+        logged_get(array, rng, clock, st, tid, deadline_ns);
+    if (name != kRefused) st.held.push_back(name);
   }
 }
 

@@ -4,7 +4,8 @@
 // (not by a timeout — we wait for the parks counter before releasing, so
 // a lost wakeup would hang the test into its ctest timeout), and an
 // oversubscribed batched churn (demand far above the contention bound)
-// that must run to completion through the structure's park tier.
+// that must run to completion through the structure's park tier, and
+// ops-mode churn whose per-exchange deadlines must expire.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -116,29 +117,63 @@ void check_parked_get_woken_by_free() {
 // batches of 8 against a contention bound of 24 — steady-state demand
 // (32) structurally exceeds the bound, so refusals are constant and
 // threads cycle through the park tier. Timed mode, because that is the
-// drive loop's oversubscription contract: its retry loop waits at most
+// drive loop's oversubscription contract: each exchange waits at most
 // until the run's end, which guarantees exit even when a full batch
 // never fits.
+//
+// Then the drive loop's per-exchange deadlines in ops mode, single and
+// batched: every name starts pinned by a holder thread, so each Get
+// must time out on its 2 ms budget until the structure has reported a
+// timed-out refusal and the holder lets go; the run then churns
+// (batch 8 oversubscribed again) to its op budget and drains.
 void check_oversubscribed_churn_completes() {
   current = "oversubscribed-churn";
-  Sharded array = make_sharded(4, 6);  // contention bound 24
-  la::bench::DriverConfig driver;
-  driver.threads = 4;
-  driver.emulation_multiplier = 8;  // demand N = 32 > the bound
-  driver.prefill = 0.5;             // 16 held up front, within the bound
-  driver.ops_per_thread = 0;
-  driver.seconds = 0.25;
-  driver.batch = 8;
-  const la::bench::RunResult result = la::bench::run_churn(array, driver);
-  CHECK(result.total_ops > 0);
-  // The refusal traffic must be visible in the wait accounting (the
-  // structure's own gate rounds fold in via api::WaitStats), and the
-  // waits must reach the park tier of the structure's FIFO queue — the
-  // only wait mechanism the drive loop uses for a gate-bounded array.
-  CHECK(result.gate_wait_rounds > 0);
-  CHECK(result.gate_parks > 0);
-  std::vector<std::uint64_t> leftovers;
-  CHECK(array.collect(leftovers) == 0);
+  {
+    Sharded array = make_sharded(4, 6);  // contention bound 24
+    la::bench::DriverConfig driver;
+    driver.threads = 4;
+    driver.emulation_multiplier = 8;  // demand N = 32 > the bound
+    driver.prefill = 0.5;             // 16 held up front, within the bound
+    driver.ops_per_thread = 0;
+    driver.seconds = 0.25;
+    driver.batch = 8;
+    const la::bench::RunResult result = la::bench::run_churn(array, driver);
+    CHECK(result.total_ops > 0);
+    // The refusal traffic must be visible in the wait accounting (the
+    // structure's own gate rounds fold in via api::WaitStats), and the
+    // waits must reach the park tier of the structure's FIFO queue —
+    // the only wait mechanism the drive loop uses for a gate-bounded
+    // array.
+    CHECK(result.gate_wait_rounds > 0);
+    CHECK(result.gate_parks > 0);
+    std::vector<std::uint64_t> leftovers;
+    CHECK(array.collect(leftovers) == 0);
+  }
+  for (const std::uint64_t batch : {1u, 8u}) {
+    current = "deadline-churn/batch=" + std::to_string(batch);
+    Sharded array = make_sharded(4, 6);
+    la::rng::MarsagliaXorshift rng(11);
+    std::vector<std::uint64_t> pinned;
+    for (int i = 0; i < 24; ++i) pinned.push_back(array.get(rng).name);
+    std::thread holder([&] {
+      la::sync::Backoff backoff;
+      while (array.wait_stats().timeouts == 0) backoff.pause();
+      for (const auto name : pinned) array.free(name);
+    });
+    la::bench::DriverConfig driver;
+    driver.threads = 4;
+    driver.emulation_multiplier = 8;
+    driver.prefill = 0.0;  // the untimed prefill would block on the pins
+    driver.ops_per_thread = 4000;
+    driver.batch = batch;
+    driver.deadline_ns = 2'000'000;
+    const la::bench::RunResult result = la::bench::run_churn(array, driver);
+    holder.join();
+    CHECK(result.timeouts > 0);
+    CHECK(result.total_ops >= 4 * driver.ops_per_thread);
+    std::vector<std::uint64_t> leftovers;
+    CHECK(array.collect(leftovers) == 0);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Determinism of the bench driver's seed plumbing: the same DriverConfig
 // seed in single-thread op-count mode must yield bit-identical RunResult
-// trial stats, for every registered structure and every registered probe
-// RNG — and a different seed must actually change the probe stream for
-// the randomized structures (i.e. the seed is plumbed, not ignored).
+// trial stats, for every registered structure, every registered probe
+// RNG and both the single-op and a batched (k = 16) exchange — and a
+// different seed must actually change the probe stream for the
+// randomized structures (i.e. the seed is plumbed, not ignored).
 // Timing fields (elapsed/throughput) are wall-clock and excluded.
 #include <cstdint>
 #include <cstdio>
@@ -36,7 +37,8 @@ bool same_trials(const la::bench::RunResult& a, const la::bench::RunResult& b) {
          a.mean_per_thread_worst == b.mean_per_thread_worst;
 }
 
-la::bench::SweepPoint point_for(std::uint64_t seed, la::rng::RngKind kind) {
+la::bench::SweepPoint point_for(std::uint64_t seed, la::rng::RngKind kind,
+                                std::uint64_t batch = 1) {
   la::bench::SweepPoint point;
   point.driver.threads = 1;
   point.driver.emulation_multiplier = 256;
@@ -44,6 +46,7 @@ la::bench::SweepPoint point_for(std::uint64_t seed, la::rng::RngKind kind) {
   point.driver.ops_per_thread = 4096;
   point.driver.seed = seed;
   point.driver.rng_kind = kind;
+  point.driver.batch = batch;
   return point;
 }
 
@@ -70,12 +73,16 @@ int main() {
   for (const auto kind : kinds) {
     auto all = randomized;
     all.insert(all.end(), deterministic.begin(), deterministic.end());
-    for (const auto& algo : all) {
-      current = algo;
-      const auto a = bench::run_algo(algo, point_for(42, kind));
-      const auto b = bench::run_algo(algo, point_for(42, kind));
-      CHECK(a.trials.operations() > 0);
-      CHECK(same_trials(a, b));
+    // batch = 16 pins the batched exchange too: native get_batch on
+    // level and the sharded variants, the api fallback loop elsewhere.
+    for (const std::uint64_t batch : {1u, 16u}) {
+      for (const auto& algo : all) {
+        current = algo + "/batch=" + std::to_string(batch);
+        const auto a = bench::run_algo(algo, point_for(42, kind, batch));
+        const auto b = bench::run_algo(algo, point_for(42, kind, batch));
+        CHECK(a.trials.operations() > 0);
+        CHECK(same_trials(a, b));
+      }
     }
     // Seed actually reaches the probe streams: a different seed must move
     // the exact trial histogram. Only the structures whose histograms
