@@ -143,7 +143,6 @@ void print_usage() {
       "  --batch=8        names per Get-k/Free-k exchange\n"
       "  --mult=64        share of the contention bound per thread\n"
       "  --shards=4       source shard count (target uses 2x)\n"
-      "  --ring-depth=8   request/response ring slots per client\n"
       "  --seed=42        base RNG seed\n"
       "  --json=<path>    write the levelarray-bench-v1 report\n");
 }
@@ -164,8 +163,6 @@ int main(int argc, char** argv) {
   const std::uint64_t mult = opts.get_uint("mult", 64);
   auto shards = static_cast<std::uint32_t>(opts.get_uint("shards", 4));
   if (shards == 0) shards = 1;
-  const auto ring_depth =
-      static_cast<std::uint32_t>(opts.get_uint("ring-depth", 8));
   const std::uint64_t seed = opts.get_uint("seed", 42);
   const std::string json_path = opts.get_string("json", "");
   opts.reject_unused();
@@ -180,7 +177,6 @@ int main(int argc, char** argv) {
 
   svc::SegmentConfig seg_config;
   seg_config.max_clients = 2 * threads + 2;
-  seg_config.ring_depth = ring_depth;
   svc::Segment segment(seg_config);
   svc::SegmentView seg = segment.view();
 
@@ -349,7 +345,7 @@ int main(int argc, char** argv) {
                                   .set("ops_per_thread", ops_target)
                                   .set("capacity", capacity)
                                   .set("shards", shards)
-                                  .set("ring_depth", ring_depth)
+                                  .set("ring_depth", seg_config.ring_depth)
                                   .set("seed", seed))
         .set("ops_per_sec", pre_ops_per_sec)
         .set("total_ops", ops_pre)
@@ -363,7 +359,7 @@ int main(int argc, char** argv) {
                                   .set("ops_per_thread", ops_target)
                                   .set("capacity", 2 * capacity)
                                   .set("shards", 2 * shards)
-                                  .set("ring_depth", ring_depth)
+                                  .set("ring_depth", seg_config.ring_depth)
                                   .set("seed", seed))
         .set("ops_per_sec", post_ops_per_sec)
         .set("total_ops", ops_post)

@@ -164,7 +164,6 @@ void print_usage() {
       "  --ops=100000     individual Get+Free ops per client\n"
       "  --batch=16       names per Get-k/Free-k exchange\n"
       "  --mult=64        share of the contention bound per client\n"
-      "  --ring-depth=8   request/response ring slots per client\n"
       "  --kill-one       fork one extra holder and SIGKILL it mid-hold\n"
       "  --hold=32        names the --kill-one victim holds\n"
       "  --seed=42        base RNG seed\n"
@@ -188,8 +187,6 @@ int main(int argc, char** argv) {
   std::uint64_t batch = opts.get_uint("batch", 16);
   if (batch == 0) batch = 1;
   const std::uint64_t mult = opts.get_uint("mult", 64);
-  const auto ring_depth =
-      static_cast<std::uint32_t>(opts.get_uint("ring-depth", 8));
   const bool kill_one = opts.has("kill-one");
   const std::uint64_t hold = opts.get_uint("hold", 32);
   const std::uint64_t seed = opts.get_uint("seed", 42);
@@ -208,7 +205,6 @@ int main(int argc, char** argv) {
   // thread's dedicated ring), plus slack for the holder.
   svc::SegmentConfig seg_config;
   seg_config.max_clients = 2 * (clients + (kill_one ? 1 : 0)) + 2;
-  seg_config.ring_depth = ring_depth;
   svc::Segment segment(seg_config);
   svc::SegmentView seg = segment.view();
 
@@ -329,7 +325,7 @@ int main(int argc, char** argv) {
   std::printf(
       "# svc_churn: %u client process(es), batch=%llu, N=%llu, depth=%u\n",
       clients, static_cast<unsigned long long>(batch),
-      static_cast<unsigned long long>(capacity), ring_depth);
+      static_cast<unsigned long long>(capacity), seg_config.ring_depth);
   std::printf(
       "svc:sharded:level  ops=%llu  elapsed=%.3fs  ops/s=%.0f  "
       "requests=%llu  pending=%llu  reclaimed=%llu\n",
@@ -365,7 +361,7 @@ int main(int argc, char** argv) {
                                   .set("clients", clients)
                                   .set("ops_per_client", ops_target)
                                   .set("capacity", capacity)
-                                  .set("ring_depth", ring_depth)
+                                  .set("ring_depth", seg_config.ring_depth)
                                   .set("kill_one", kill_one)
                                   .set("seed", seed))
         .set("ops_per_sec", ops_per_sec)

@@ -170,7 +170,7 @@ run_tsan() {
   ./build-tsan/stress_runner --structure=all --scenario=all --threads=8 \
     --ops=2000
   ./build-tsan/stress_runner --structure=sharded:level --scenario=oversub \
-    --threads=8 --ops=2000 --deadline=10ms
+    --threads=8 --ops=2000 --deadline=1ms
 }
 
 case "${TIER}" in

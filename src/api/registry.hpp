@@ -221,8 +221,8 @@ struct ShardedEntry {
 // --- service variant ----------------------------------------------------
 
 // `svc:sharded:level`: the full rename-service daemon stack, in-process
-// (svc::ServiceRenamer owns segment + sharded structure + server workers
-// + client, and the harness talks to the client). Every op round-trips
+// (svc::ServiceRenamer owns segment + sharded structure + server, and
+// is the client the harness talks to). Every op round-trips
 // the real shared-memory wire protocol, so the whole harness suite
 // doubles as a daemon soak. One entry covers the svc code: Server and
 // Client never branch on the inner structure.
@@ -238,7 +238,7 @@ struct SvcEntry {
   using Structure = svc::ServiceRenamer<Sharded::Structure>;
 
   static std::unique_ptr<Structure> make(const RenamerConfig& c) {
-    return std::make_unique<Structure>(svc::ServiceConfig{},
+    return std::make_unique<Structure>(svc::SegmentConfig{},
                                        [&c] { return Sharded::make(c); });
   }
 };

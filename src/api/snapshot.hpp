@@ -69,7 +69,7 @@ inline constexpr bool has_shard_geometry_v = has_shard_geometry<T>::value;
 // Capture the structure's logical hold set. Exact at quiescence; under
 // concurrent churn it is the same racy snapshot collect() gives — a
 // migration path must quiesce writers first (svc::Server::migrate
-// parks its workers before calling this). `structure_tag` is the
+// parks its worker before calling this). `structure_tag` is the
 // registry key recorded in the image for provenance.
 template <typename Structure>
 ckpt::Image save(const Structure& structure, std::string structure_tag = {}) {

@@ -1,9 +1,9 @@
 // ckpt::AnyRenamer — a type-erased Renamer whose implementation can be
 // swapped at runtime: the seam live re-sharding migration turns on.
 // svc::Server<Structure> holds a `Structure&` for the lifetime of its
-// workers, so the server cannot change structure *types* mid-run — but
-// it can front an AnyRenamer whose impl is replaced while the workers
-// are quiesced (Server::migrate): save() the old impl's image, build a
+// worker, so the server cannot change structure *types* mid-run — but
+// it can front an AnyRenamer whose impl is replaced while the worker
+// is quiesced (Server::migrate): save() the old impl's image, build a
 // differently configured impl, restore() into it, replace(). Names keep
 // their numeric identity across the swap (the api::restore contract),
 // so the server's per-pid held bitmaps and every client's outstanding
@@ -20,7 +20,7 @@
 //
 // replace() is NOT thread-safe: callers must own exclusive access to
 // the structure (Server::migrate's worker quiesce handshake provides
-// it; the happens-before to the resumed workers rides on the
+// it; the happens-before to the resumed worker rides on the
 // handshake's release/acquire pair, so the impl pointer itself needs no
 // atomicity).
 #pragma once

@@ -46,6 +46,7 @@
 #include "api/renamer.hpp"
 #include "scale/thread_cache.hpp"
 #include "svc/segment.hpp"
+#include "sync/annotations.hpp"
 #include "sync/spin_barrier.hpp"
 #include "sync/spin_lock.hpp"
 
@@ -247,33 +248,58 @@ class Client {
     cs.state.store(ClientSlot::kFree, std::memory_order_release);
   }
 
-  // The calling thread's ring plus whether the shared-ring lock is held.
-  struct Port {
-    std::uint32_t ring;
-    bool locked;
+  // The calling thread's ring for one exchange. A thread with no ring of
+  // its own borrows the shared ring, and the lease holds the shared-ring
+  // lock until it goes out of scope, on return or throw. (The lock is
+  // conditional, which clang's capability analysis cannot express.)
+  class Port {
+   public:
+    explicit Port(Client& c) LA_NO_THREAD_SAFETY_ANALYSIS {
+      auto& att = scale::ThreadAttachments::current();
+      ring = att.find(c.control_.get());
+      if (ring == scale::ThreadAttachments::kNotAttached) {
+        ring = c.claim_ring();
+        att.attach(c.control_, ring == kNoRing
+                                   ? scale::ThreadAttachments::kNoCache
+                                   : ring);
+      }
+      if (ring == kNoRing || ring == scale::ThreadAttachments::kNoCache) {
+        c.shared_lock_.lock();
+        shared_lock_ = &c.shared_lock_;
+        ring = c.shared_ring_;
+      }
+    }
+    ~Port() LA_NO_THREAD_SAFETY_ANALYSIS {
+      if (shared_lock_ != nullptr) shared_lock_->unlock();
+    }
+    Port(const Port&) = delete;
+    Port& operator=(const Port&) = delete;
+
+    std::uint32_t ring = kNoRing;
+
+   private:
+    sync::SpinLock* shared_lock_ = nullptr;
   };
 
-  Port acquire_port() {
-    auto& att = scale::ThreadAttachments::current();
-    std::uint32_t ring = att.find(control_.get());
-    if (ring == scale::ThreadAttachments::kNotAttached) {
-      ring = claim_ring();
-      att.attach(control_, ring == kNoRing
-                               ? scale::ThreadAttachments::kNoCache
-                               : ring);
-    }
-    if (ring == kNoRing || ring == scale::ThreadAttachments::kNoCache) {
-      shared_lock_.lock();
-      return Port{shared_ring_, true};
-    }
-    return Port{ring, false};
-  }
-
-  void release_port(const Port& port) {
-    if (port.locked) shared_lock_.unlock();
-  }
-
   // ---- the exchange primitives --------------------------------------
+
+  // The liveness probe of every wait on the server: throws once it has
+  // stopped (the shutdown flag) or died without saying so (SIGKILL sets
+  // no flag, but its published pid is gone). `waiting` says what the
+  // caller was waiting for.
+  void probe_server(const char* waiting) const {
+    if (seg_.header().shutdown.load(std::memory_order_acquire) != 0) {
+      throw std::runtime_error("svc::Client: server shut down mid-request");
+    }
+    const std::uint32_t server =
+        seg_.header().server_pid.load(std::memory_order_acquire);
+    if (server != 0 && !pid_alive(server)) {
+      throw std::runtime_error(
+          std::string("svc::Client: server process died mid-request (") +
+          waiting + " and server pid " + std::to_string(server) +
+          " is gone)");
+    }
+  }
 
   void push_request(std::uint32_t r, Op op, std::uint32_t count,
                     const std::uint64_t* names,
@@ -291,22 +317,10 @@ class Client {
       // (collect's chunked drain) can re-enter here after the server
       // died between chunks, and a loop with no liveness probe wedges
       // forever. Same escalation as await_response: once the spin/yield
-      // tiers are exhausted, probe shutdown and the published server
-      // pid, then keep spinning.
+      // tiers are exhausted, probe the server, then keep spinning.
       rounds.add();
       if (backoff.should_park()) {
-        if (seg_.header().shutdown.load(std::memory_order_acquire) != 0) {
-          throw std::runtime_error(
-              "svc::Client: server shut down mid-request");
-        }
-        const std::uint32_t server =
-            seg_.header().server_pid.load(std::memory_order_acquire);
-        if (server != 0 && !pid_alive(server)) {
-          throw std::runtime_error(
-              "svc::Client: server process died mid-request (request ring "
-              "full and server pid " +
-              std::to_string(server) + " is gone)");
-        }
+        probe_server("request ring full");
         backoff.reset();
       }
       backoff.pause();
@@ -349,29 +363,20 @@ class Client {
         cs.resp_bell.cancel_wait();
         // One last drain chance: the server answers parked requests with
         // kShutdown before exiting.
-        if (ring.try_begin_pop(pos) != nullptr) continue;
-        throw std::runtime_error("svc::Client: server shut down mid-request");
+        if (ring.try_begin_pop(pos) == nullptr) probe_server("no response");
+        continue;
       }
       waits_.parks.fetch_add(1, std::memory_order_relaxed);
       // Timed so a dead server is *detected*, not slept through. A
-      // clean stop sets the shutdown flag (caught above); a SIGKILLed
-      // or crashed server sets nothing, so every expired park probes
-      // the published server pid and turns its death into a distinct
-      // error instead of re-parking forever.
+      // clean stop sets the shutdown flag (caught above, after one more
+      // drain); a SIGKILLed or crashed server sets nothing, so every
+      // expired park probes the published server pid and turns its
+      // death into a distinct error instead of re-parking forever.
       if (cs.resp_bell.commit_wait_for(seen, 100'000'000ull) ==
-          sync::WaitResult::kTimedOut) {
-        if (ring.try_begin_pop(pos) != nullptr) continue;
-        if (seg_.header().shutdown.load(std::memory_order_acquire) != 0) {
-          continue;  // loop into the shutdown drain/throw above
-        }
-        const std::uint32_t server =
-            seg_.header().server_pid.load(std::memory_order_acquire);
-        if (server != 0 && !pid_alive(server)) {
-          throw std::runtime_error(
-              "svc::Client: server process died mid-request (no response "
-              "and server pid " +
-              std::to_string(server) + " is gone)");
-        }
+              sync::WaitResult::kTimedOut &&
+          ring.try_begin_pop(pos) == nullptr &&
+          seg_.header().shutdown.load(std::memory_order_acquire) == 0) {
+        probe_server("no response");
       }
     }
   }
@@ -385,53 +390,42 @@ class Client {
 
   std::size_t exchange_get(GetResult* out, std::uint32_t want,
                            std::uint64_t deadline_ns) {
-    const Port port = acquire_port();
-    std::size_t granted = 0;
-    try {
-      push_request(port.ring, Op::kGetK, want, nullptr, deadline_ns);
-      ResponseSlot* resp = await_response(port.ring);
-      const Status status = resp->status;
-      granted = resp->count;
-      for (std::size_t i = 0; i < granted; ++i) {
-        out[i].name = resp->names[i];
-        out[i].probes = resp->probes[i];
-        out[i].deepest_batch = 0;
-        out[i].used_backup = false;
-      }
-      finish_response(port.ring, resp);
-      if (status == Status::kShutdown) {
-        throw std::runtime_error("svc::Client: get refused, server stopping");
-      }
-      if (status == Status::kTimedOut) {
-        // The timed-out refusal, not an error: get_for/get_batch_for
-        // surface it as false/0 per the api contract.
-        waits_.timeouts.fetch_add(1, std::memory_order_relaxed);
-        granted = 0;
-      }
-    } catch (...) {
-      release_port(port);
-      throw;
+    const Port port(*this);
+    push_request(port.ring, Op::kGetK, want, nullptr, deadline_ns);
+    ResponseSlot* resp = await_response(port.ring);
+    const Status status = resp->status;
+    std::size_t granted = resp->count;
+    for (std::size_t i = 0; i < granted; ++i) {
+      out[i].name = resp->names[i];
+      out[i].probes = resp->probes[i];
+      out[i].deepest_batch = 0;
+      out[i].used_backup = false;
     }
-    release_port(port);
+    finish_response(port.ring, resp);
+    if (status == Status::kShutdown) {
+      throw std::runtime_error("svc::Client: get refused, server stopping");
+    }
+    if (status == Status::kTimedOut) {
+      // The timed-out refusal, not an error: get_for/get_batch_for
+      // surface it as false/0 per the api contract.
+      waits_.timeouts.fetch_add(1, std::memory_order_relaxed);
+      granted = 0;
+    }
     return granted;
   }
 
   void exchange_free(const std::uint64_t* names, std::uint32_t count,
                      std::size_t base_index) {
-    const Port port = acquire_port();
-    Status status = Status::kOk;
-    std::size_t bad = 0;
-    try {
+    Status status;
+    std::size_t bad;
+    {
+      const Port port(*this);
       push_request(port.ring, Op::kFreeK, count, names);
       ResponseSlot* resp = await_response(port.ring);
       status = resp->status;
       bad = base_index + resp->error_index;
       finish_response(port.ring, resp);
-    } catch (...) {
-      release_port(port);
-      throw;
     }
-    release_port(port);
     switch (status) {
       case Status::kOk:
         return;
@@ -458,23 +452,17 @@ class Client {
 
   void exchange_collect(std::vector<std::uint64_t>& out) {
     out.clear();
-    const Port port = acquire_port();
-    try {
-      push_request(port.ring, Op::kCollect, 0, nullptr);
-      for (;;) {
-        ResponseSlot* resp = await_response(port.ring);
-        for (std::uint32_t i = 0; i < resp->count; ++i) {
-          out.push_back(resp->names[i]);
-        }
-        const bool more = resp->more != 0;
-        finish_response(port.ring, resp);
-        if (!more) break;
+    const Port port(*this);
+    push_request(port.ring, Op::kCollect, 0, nullptr);
+    bool more = true;
+    while (more) {
+      ResponseSlot* resp = await_response(port.ring);
+      for (std::uint32_t i = 0; i < resp->count; ++i) {
+        out.push_back(resp->names[i]);
       }
-    } catch (...) {
-      release_port(port);
-      throw;
+      more = resp->more != 0;
+      finish_response(port.ring, resp);
     }
-    release_port(port);
   }
 
   SegmentView seg_;

@@ -64,7 +64,7 @@ struct alignas(sync::kCacheLineSize) Header {
   // "server died without setting shutdown" (SIGKILL, crash).
   std::atomic<std::uint32_t> server_pid{0};
   // The server's eventcount: clients signal after every request push;
-  // idle server workers park here (with a timeout, doubling as the
+  // the idle server worker parks here (with a timeout, doubling as the
   // liveness-sweep heartbeat).
   sync::FutexWord doorbell{true};
   // Free-form cross-process coordination for harnesses (svc_churn's

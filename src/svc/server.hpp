@@ -1,11 +1,9 @@
-// The rename-service daemon's server side: worker threads drain the
-// per-client request rings of a svc::Segment and apply the opcodes to
-// one shared structure satisfying the api::Renamer contract (the
+// The rename-service daemon's server side: one worker thread drains
+// every per-client request ring of a svc::Segment and applies the
+// opcodes to one structure satisfying the api::Renamer contract (the
 // registry fronts a scale::ShardedRenamer — its per-thread cache bins
 // make the worker's Free->Get recycling a single RMW in steady state).
 //
-//   * Rings are statically partitioned: ring r belongs to worker
-//     r % workers (default 1 worker). No cross-worker ring state.
 //   * A GetK that can grant nothing parks *server-side* on the worker's
 //     pending list and is retried after every capacity release — the
 //     client blocks on its response bell instead of spin-retrying
@@ -16,8 +14,10 @@
 //   * Held names are accounted per client *process* in dense bitmaps
 //     (pid-keyed): Frees validate against them, which is what turns a
 //     foreign or double free into a protocol error instead of silent
-//     corruption, and what makes crash reclaim exact. An exchange costs
-//     one holds-lock pass and one structure call (Free-k: one free_batch).
+//     corruption, and what makes crash reclaim exact. Only the worker
+//     touches them, plus migrate() while the worker is parked at its
+//     checkpoint, so they take no lock; an exchange costs one bitmap
+//     pass and one structure call (Free-k: one free_batch).
 //   * Crash reclaim: a claimed client slot whose owner is provably gone
 //     is swept: every bitmap-held name is freed back to the structure,
 //     its rings are reset empty, its pending entries dropped, and the
@@ -33,7 +33,7 @@
 //
 // Idle waiting escalates like a client's response wait: spin, then
 // yield (sync::Backoff), then the eventcount protocol on the segment's
-// global doorbell: register, rescan every owned ring, only then sleep — a
+// global doorbell: register, rescan every ring, only then sleep — a
 // request pushed between the scan and the sleep bumps the word and the
 // sleep returns immediately (see sync/futex.hpp). The spin tiers run only
 // after a served request: they cover the gap between a client's
@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,60 +84,61 @@ class Server {
                 "svc::Server fronts the api::Renamer contract");
 
  public:
+  // The server runs exactly one worker thread; `workers` must be 1.
   Server(SegmentView segment, Structure& structure,
          std::uint32_t workers = 1)
-      : seg_(segment),
-        structure_(structure),
-        workers_(workers == 0 ? 1 : workers) {}
+      : seg_(segment), structure_(structure) {
+    if (workers != 1) {
+      throw std::invalid_argument(
+          "svc::Server: runs one worker thread, got workers=" +
+          std::to_string(workers));
+    }
+  }
 
   ~Server() { stop(); }
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
   // Publish the structure's geometry, mark the segment ready, and launch
-  // the workers. Call after fork()ing any client processes — the worker
-  // threads must not exist across a fork.
+  // the worker. Call after fork()ing any client processes — the worker
+  // thread must not exist across a fork.
   void start() {
-    if (!threads_.empty()) return;
+    if (worker_.joinable()) return;
     Header& h = seg_.header();
     h.capacity.store(structure_.capacity(), std::memory_order_relaxed);
     h.total_slots.store(structure_.total_slots(), std::memory_order_relaxed);
     h.server_pid.store(this_pid(), std::memory_order_relaxed);
     hold_words_ = (structure_.total_slots() + 63) / 64;
     h.ready.store(1, std::memory_order_release);
-    threads_.reserve(workers_);
-    for (std::uint32_t w = 0; w < workers_; ++w) {
-      threads_.emplace_back([this, w] { worker_loop(w); });
-    }
+    worker_ = std::thread([this] { worker_loop(); });
   }
 
-  // Stop the workers (answering any parked GetKs with kShutdown) and
-  // mark the segment shut down. Idempotent.
+  // Stop the worker (answering any parked GetKs with kShutdown) and mark
+  // the segment shut down. Idempotent.
   void stop() {
-    if (threads_.empty()) return;
+    if (!worker_.joinable()) return;
     seg_.header().shutdown.store(1, std::memory_order_release);
     seg_.header().doorbell.signal();
-    for (auto& t : threads_) t.join();
-    threads_.clear();
+    worker_.join();
   }
 
-  // Ask every worker to run a dead-client sweep now and wait until each
-  // has (the deterministic reclaim hook for same-process harnesses; the
-  // idle heartbeat sweeps on its own every ~50ms otherwise).
+  // Ask the worker to run a dead-client sweep now and wait until it has
+  // (the deterministic reclaim hook for same-process harnesses; the idle
+  // heartbeat sweeps on its own every ~50ms otherwise).
   void request_sweep() {
     const std::uint64_t target =
-        sweeps_done_.load(std::memory_order_acquire) + workers_;
+        sweeps_done_.load(std::memory_order_acquire) + 1;
     sweep_epoch_.fetch_add(1, std::memory_order_release);
     seg_.header().doorbell.signal();
     sync::Backoff backoff;
     while (sweeps_done_.load(std::memory_order_acquire) < target &&
-           !threads_.empty()) {
+           worker_.joinable()) {
       backoff.pause();
     }
   }
 
-  // Drain-and-migrate: quiesce every worker at its loop top (rings and
-  // pending lists are *parked*, not dropped — a request pushed during
+  // Drain-and-migrate: quiesce the worker at its loop top (rings and
+  // the pending list are *parked*, not dropped — a request pushed during
   // the pause is drained right after it), run fn(structure_) with
   // exclusive access to the structure, republish the possibly changed
   // geometry, and resume. fn is where the caller swaps shape — e.g.
@@ -149,13 +151,13 @@ class Server {
   // Call from one coordinating thread; not concurrent with stop().
   template <typename Fn>
   void migrate(Fn&& fn) {
-    if (threads_.empty()) {
+    if (!worker_.joinable()) {
       // Not started: the caller owns the structure outright.
       fn(structure_);
       return;
     }
     const std::uint64_t target =
-        migrate_checkins_.load(std::memory_order_acquire) + workers_;
+        migrate_checkins_.load(std::memory_order_acquire) + 1;
     migrating_.store(1, std::memory_order_release);
     seg_.header().doorbell.signal();
     sync::Backoff backoff;
@@ -167,17 +169,14 @@ class Server {
     Header& h = seg_.header();
     h.capacity.store(structure_.capacity(), std::memory_order_relaxed);
     h.total_slots.store(structure_.total_slots(), std::memory_order_relaxed);
-    {
-      // The held bitmaps are indexed by name; a grown name space needs
-      // wider words. Never shrunk — adopted names already fit by the
-      // restore contract, and stale high words are simply zero.
-      sync::SpinLockGuard guard(holds_lock_);
-      const std::uint64_t words = (structure_.total_slots() + 63) / 64;
-      if (words > hold_words_) hold_words_ = words;
-      for (auto& held : holds_) {
-        if (held.words.size() < hold_words_) {
-          held.words.resize(static_cast<std::size_t>(hold_words_));
-        }
+    // The held bitmaps are indexed by name; a grown name space needs
+    // wider words. Never shrunk — adopted names already fit by the
+    // restore contract, and stale high words are simply zero.
+    const std::uint64_t words = (structure_.total_slots() + 63) / 64;
+    if (words > hold_words_) hold_words_ = words;
+    for (auto& held : holds_) {
+      if (held.words.size() < hold_words_) {
+        held.words.resize(static_cast<std::size_t>(hold_words_));
       }
     }
     migrations_.fetch_add(1, std::memory_order_relaxed);
@@ -199,7 +198,7 @@ class Server {
     return s;
   }
 
-  // First worker error, empty if none (a throwing structure poisons the
+  // The worker's error, empty if none (a throwing structure poisons the
   // run; harnesses assert on this).
   std::string error() const {
     sync::SpinLockGuard guard(error_lock_);
@@ -214,14 +213,19 @@ class Server {
     std::uint64_t deadline_ns = 0;  // 0 = park until capacity/shutdown
   };
 
-  // --- per-pid held bitmaps (lock-guarded; few pids, O(1) bit ops) ----
+  // --- per-pid held bitmaps (few pids, O(1) bit ops) -----------------
+  //
+  // No lock: the worker is their only user, except migrate(), which
+  // widens them while the worker is parked at its checkpoint. The
+  // worker's releasing check-in and the coordinator's releasing
+  // migrating_ clear (each read with acquire on the other side) order
+  // that hand-off in both directions.
 
   struct PidHolds {
     std::uint32_t pid = 0;
     std::vector<std::uint64_t> words;
   };
 
-  // Caller holds holds_lock_.
   PidHolds& holds_for(std::uint32_t pid) {
     for (auto& h : holds_) {
       if (h.pid == pid) return h;
@@ -238,7 +242,6 @@ class Server {
   std::uint32_t clear_holds(std::uint32_t pid, const std::uint64_t* names,
                             std::uint32_t count, std::uint64_t total_slots,
                             Status& stop) {
-    sync::SpinLockGuard guard(holds_lock_);
     PidHolds& h = holds_for(pid);
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint64_t name = names[i];
@@ -265,7 +268,6 @@ class Server {
   }
 
   std::vector<std::uint64_t> drain_holds(std::uint32_t pid) {
-    sync::SpinLockGuard guard(holds_lock_);
     std::vector<std::uint64_t> names;
     for (auto& h : holds_) {
       if (h.pid != pid) continue;
@@ -309,7 +311,20 @@ class Server {
     return true;
   }
 
-  // --- opcode handlers (all run on the ring's owning worker) ----------
+  // A reply that carries no names: a status, plus the released count of
+  // a Free and the index of the name it stopped at.
+  bool respond_status(std::uint32_t r, Status status,
+                      std::uint32_t count = 0,
+                      std::uint32_t error_index = 0) {
+    return respond(r, [&](ResponseSlot& out) {
+      out.status = status;
+      out.count = count;
+      out.error_index = error_index;
+      out.more = 0;
+    });
+  }
+
+  // --- opcode handlers ------------------------------------------------
 
   template <typename Rng>
   bool try_grant(std::uint32_t r, std::uint32_t pid, std::uint32_t want,
@@ -318,12 +333,9 @@ class Server {
     const std::size_t granted = api::get_batch(
         structure_, rng, got, static_cast<std::size_t>(want));
     if (granted == 0) return false;
-    {
-      sync::SpinLockGuard guard(holds_lock_);
-      PidHolds& h = holds_for(pid);
-      for (std::size_t i = 0; i < granted; ++i) {
-        h.words[got[i].name >> 6] |= std::uint64_t{1} << (got[i].name & 63);
-      }
+    PidHolds& h = holds_for(pid);
+    for (std::size_t i = 0; i < granted; ++i) {
+      h.words[got[i].name >> 6] |= std::uint64_t{1} << (got[i].name & 63);
     }
     granted_.fetch_add(granted, std::memory_order_relaxed);
     respond(r, [&](ResponseSlot& out) {
@@ -368,12 +380,7 @@ class Server {
     }
     const std::uint32_t released = i;  // every name before the stop
     freed_.fetch_add(released, std::memory_order_relaxed);
-    respond(r, [&](ResponseSlot& out) {
-      out.status = status;
-      out.count = released;
-      out.error_index = status == Status::kOk ? 0 : i;
-      out.more = 0;
-    });
+    respond_status(r, status, released, status == Status::kOk ? 0 : i);
     return released;
   }
 
@@ -474,12 +481,7 @@ class Server {
   // The timed-out refusal for one parked GetK.
   void expire(std::uint32_t r) {
     pending_expired_.fetch_add(1, std::memory_order_relaxed);
-    respond(r, [&](ResponseSlot& out) {
-      out.status = Status::kTimedOut;
-      out.count = 0;
-      out.error_index = 0;
-      out.more = 0;
-    });
+    respond_status(r, Status::kTimedOut);
   }
 
   // Answer every pending GetK whose deadline has passed with kTimedOut.
@@ -515,13 +517,10 @@ class Server {
     return park;
   }
 
-  // Sweep the dead clients among this worker's rings.
-  template <typename Rng>
-  void sweep_own(std::uint32_t wid, std::vector<Pending>& pending,
-                 bool& released, Rng&) {
+  // Sweep the dead clients among the claimed rings.
+  void sweep(std::vector<Pending>& pending, bool& released) {
     const std::uint32_t self = this_pid();
-    for (std::uint32_t r = wid; r < seg_.config().max_clients;
-         r += workers_) {
+    for (std::uint32_t r = 0; r < seg_.config().max_clients; ++r) {
       ClientSlot& cs = seg_.client_slot(r);
       if (cs.state.load(std::memory_order_acquire) != ClientSlot::kClaimed) {
         continue;
@@ -570,8 +569,8 @@ class Server {
     }
   }
 
-  void worker_loop(std::uint32_t wid) {
-    rng::MarsagliaXorshift rng(rng::mix_seed(0x53564300ull, wid + 1));
+  void worker_loop() {
+    rng::MarsagliaXorshift rng(rng::mix_seed(0x53564300ull, 1));
     std::vector<Pending> pending;
     std::uint64_t seen_sweep_epoch = 0;
     // Spin tiers before a park, armed only by a served request: a worker
@@ -598,23 +597,17 @@ class Server {
           released = true;
         }
         std::size_t processed = 0;
-        for (std::uint32_t r = wid; r < seg_.config().max_clients;
-             r += workers_) {
+        for (std::uint32_t r = 0; r < seg_.config().max_clients; ++r) {
           processed += drain_ring(r, rng, pending, released);
         }
         const std::uint64_t epoch =
             sweep_epoch_.load(std::memory_order_acquire);
         if (epoch != seen_sweep_epoch) {
           seen_sweep_epoch = epoch;
-          sweep_own(wid, pending, released, rng);
+          sweep(pending, released);
           sweeps_done_.fetch_add(1, std::memory_order_release);
         }
-        if (released) {
-          retry_pending(pending, rng);
-          // Capacity we released may satisfy another worker's pending
-          // list; nudge the fleet.
-          if (workers_ > 1) h.doorbell.signal();
-        }
+        if (released) retry_pending(pending, rng);
         expire_pending(pending);
         if (h.shutdown.load(std::memory_order_acquire)) break;
         if (processed != 0) {
@@ -628,12 +621,11 @@ class Server {
         }
         serving = false;
         // Idle: eventcount on the doorbell. The re-check between
-        // prepare and commit is a full rescan of our rings; the timed
+        // prepare and commit is a full rescan of the rings; the timed
         // sleep doubles as the liveness-sweep heartbeat.
         const std::uint32_t seen = h.doorbell.prepare_wait();
         bool nonempty = false;
-        for (std::uint32_t r = wid; r < seg_.config().max_clients;
-             r += workers_) {
+        for (std::uint32_t r = 0; r < seg_.config().max_clients; ++r) {
           ClientSlot& cs = seg_.client_slot(r);
           if (seg_.request_ring(r).try_begin_pop(
                   cs.req_head.load(std::memory_order_relaxed)) != nullptr) {
@@ -650,7 +642,7 @@ class Server {
           continue;
         }
         bool swept_released = false;
-        sweep_own(wid, pending, swept_released, rng);
+        sweep(pending, swept_released);
         if (swept_released) {
           h.doorbell.cancel_wait();
           retry_pending(pending, rng);
@@ -670,24 +662,14 @@ class Server {
       h.doorbell.signal();
     }
     // Anyone still parked server-side gets a definitive no.
-    for (const auto& p : pending) {
-      respond(p.ring, [&](ResponseSlot& out) {
-        out.status = Status::kShutdown;
-        out.count = 0;
-        out.error_index = 0;
-        out.more = 0;
-      });
-    }
+    for (const auto& p : pending) respond_status(p.ring, Status::kShutdown);
   }
 
   SegmentView seg_;
   Structure& structure_;
-  std::uint32_t workers_;
   std::uint64_t hold_words_ = 0;
-  std::vector<std::thread> threads_;
 
-  sync::SpinLock holds_lock_;
-  std::vector<PidHolds> holds_;
+  std::vector<PidHolds> holds_;  // no lock: see the held-bitmaps note
 
   mutable sync::SpinLock error_lock_;
   std::string error_;
@@ -706,6 +688,7 @@ class Server {
   std::atomic<std::uint64_t> reclaims_{0};
   std::atomic<std::uint64_t> reclaimed_names_{0};
   std::atomic<std::uint64_t> detaches_{0};
+  std::thread worker_;  // last: it uses every member above
 };
 
 }  // namespace la::svc

@@ -190,8 +190,8 @@ void test_svc_expiry() {
   current = "svc_expiry";
   constexpr std::uint64_t kCapacity = 64;
   constexpr std::uint64_t kDeadlineNs = 80'000'000;  // 80ms
-  la::svc::ServiceConfig cfg;
-  cfg.segment.max_clients = 4;
+  la::svc::SegmentConfig cfg;
+  cfg.max_clients = 4;
   la::svc::ServiceRenamer<Sharded> svc(cfg, [] {
     la::scale::ShardedConfig scfg;
     scfg.shards = 4;

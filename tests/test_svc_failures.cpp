@@ -25,6 +25,8 @@
 //     whole response (status, error_index, released count) is visible;
 //     svc::Client folds it into an exception.
 //
+//   * One worker — a Server's worker count must be 1; any other value
+//     throws std::invalid_argument instead of starting that many.
 //   * Segment version check — a Client refuses (runtime_error) to attach
 //     to a segment whose magic or layout version is not its own, rather
 //     than misread a differently laid out ClientSlot table.
@@ -475,6 +477,26 @@ void mark_ready(la::svc::SegmentView seg) {
   seg.header().ready.store(1, std::memory_order_release);
 }
 
+void test_one_worker() {
+  current = "one_worker";
+  la::svc::SegmentConfig config;
+  config.max_clients = 2;
+  la::svc::Segment segment(config);
+  la::core::LevelArrayConfig level;
+  level.capacity = kCapacity;
+  la::core::LevelArray structure(level);
+  for (const std::uint32_t workers : {0u, 1u, 2u}) {
+    bool threw = false;
+    try {
+      la::svc::Server<la::core::LevelArray> server(segment.view(), structure,
+                                                   workers);
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    CHECK(threw == (workers != 1));
+  }
+}
+
 void test_segment_version() {
   current = "segment_version";
   la::svc::SegmentConfig config;
@@ -658,6 +680,7 @@ int main() {
   test_server_death_mid_collect(segment_c.view(), collect_server_pid);
   test_forged_token(segment_b.view(), holder_pid);
   test_free_wire_errors(segment_d.view());
+  test_one_worker();
   test_segment_version();
   test_wait_counters();
 
