@@ -64,30 +64,22 @@ run_bench_smoke() {
   # surface amortizes — the uncached regime is what the gate measures).
   python3 scripts/validate_bench_json.py --batch-gate=16 BENCH_batch.json
   # The rename-service daemon: one server process + forked clients over
-  # the shared-memory rings, kill-one reclaim included, plus the
-  # svc-vs-in-process acceptance bar on the *committed* snapshot.
+  # the shared-memory rings, a live migration and a killed holder's
+  # reclaim included, plus the svc-vs-in-process and migration
+  # acceptance bars on the fresh run AND the *committed* snapshot.
   # Regenerate with
-  #   svc_churn --clients=4 --ops=100000 --batch=16 --kill-one \
-  #     --json=BENCH_svc.json
-  ./build/svc_churn --clients=4 --ops=100000 --batch=16 --kill-one \
+  #   svc_churn --clients=4 --ops=100000 --batch=16 --json=BENCH_svc.json
+  ./build/svc_churn --clients=4 --ops=100000 --batch=16 \
     --json=build/BENCH_svc.json > /dev/null
-  python3 scripts/validate_bench_json.py --svc-gate=16 build/BENCH_svc.json
-  python3 scripts/validate_bench_json.py --svc-gate=16 BENCH_svc.json
-  # Live re-sharding migration: churn throughput across a mid-run
-  # save/rebuild/restore swap, gated on the fresh run AND the committed
-  # snapshot. Regenerate with
-  #   migrate_churn --threads=4 --ops=60000 --batch=8 \
-  #     --json=BENCH_migrate.json
-  ./build/migrate_churn --threads=4 --ops=60000 --batch=8 \
-    --json=build/BENCH_migrate.json > /dev/null
-  python3 scripts/validate_bench_json.py --migrate-gate \
-    build/BENCH_migrate.json
-  python3 scripts/validate_bench_json.py --migrate-gate BENCH_migrate.json
+  python3 scripts/validate_bench_json.py --svc-gate=16 --migrate-gate \
+    build/BENCH_svc.json
+  python3 scripts/validate_bench_json.py --svc-gate=16 --migrate-gate \
+    BENCH_svc.json
 }
 
 run_svc() {
   echo "== svc: multi-process daemon smoke (1 server + 4 forked clients) =="
-  ./build/svc_churn --clients=4 --ops=100000 --batch=16 --kill-one
+  ./build/svc_churn --clients=4 --ops=100000 --batch=16
   ./build/test_svc_reclaim
   ./build/test_svc_failures
 }
@@ -97,7 +89,7 @@ run_ckpt() {
   ./build/test_ckpt
   # Live migration under churn: sharded:level (4 shards) swapped for
   # sharded:linear (8 shards) mid-run, trace checked across the boundary.
-  ./build/migrate_churn --threads=4 --ops=20000 --batch=8
+  ./build/svc_churn --clients=4 --ops=20000 --batch=8
 }
 
 run_verify() {
@@ -146,10 +138,11 @@ run_tsan() {
     --target test_stress_matrix test_renamer_contract test_collect_race \
              test_model_fuzz test_svc_ring test_backoff_park \
              test_wait_queue test_deadlines test_ckpt test_slot_scan \
-             migrate_churn stress_runner
+             svc_churn stress_runner
   # The svc ring + eventcount under TSan: the SPSC handshake and the
   # park/wake protocol are where a lost fence shows up. (The fork-based
-  # svc suites stay out of TSan — it does not support multi-process.)
+  # svc tests stay out of TSan; svc_churn runs below because it forks
+  # every child before the parent starts a thread.)
   ./build-tsan/test_svc_ring
   ./build-tsan/test_backoff_park
   # The FIFO wait queue and the deadline paths: ticket grants, timed
@@ -161,11 +154,12 @@ run_tsan() {
   ./build-tsan/test_slot_scan
   ./build-tsan/test_collect_race
   ./build-tsan/test_model_fuzz --structure=sharded:level --seed=20260727
-  # Checkpoint/restore (sequential paths) and the live migration cell:
-  # worker quiesce, save/rebuild/restore, resume — all in-process
-  # threads, so TSan sees the whole handshake.
+  # Checkpoint/restore (sequential paths) and the live migration under
+  # forked clients: worker quiesce, save/rebuild/restore, resume. TSan
+  # sees the server-side handshake, the only run of Server::migrate with
+  # live clients in this tier.
   ./build-tsan/test_ckpt
-  ./build-tsan/migrate_churn --threads=4 --ops=10000 --batch=8
+  ./build-tsan/svc_churn --clients=4 --ops=10000 --batch=8
   ./build-tsan/test_stress_matrix
   ./build-tsan/stress_runner --structure=all --scenario=all --threads=8 \
     --ops=2000

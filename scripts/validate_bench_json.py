@@ -29,13 +29,14 @@ sanity bound against pathological regressions (a deadlocking ring or a
 park storm shows up as orders of magnitude, not percent).
 
 --migrate-gate asserts the live re-sharding migration acceptance bar
-(the claim BENCH_migrate.json commits to): the report must carry a
-pre-migration run and a post-migration run, the migration must have
-carried a nonzero hold set across a measured nonzero pause with exactly
-zero invariant failures, and post-migration throughput must hold at
-least MIGRATE_RATIO_FLOOR of the pre-migration rate (the structure
-changed shape underneath the clients, so parity is not demanded — but a
-migration that wedges the service shows up as orders of magnitude).
+(the claim the migration runs in BENCH_svc.json commit to): the report
+must carry a pre-migration run and a post-migration run, the migration
+must have carried a nonzero hold set across a measured nonzero pause
+with exactly zero invariant failures, and post-migration throughput
+must hold at least MIGRATE_RATIO_FLOOR of the pre-migration rate (the
+structure changed shape underneath the clients, so parity is not
+demanded — but a migration that wedges the service shows up as orders
+of magnitude).
 """
 import json
 import sys

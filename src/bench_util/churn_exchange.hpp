@@ -1,7 +1,7 @@
 // The one Free-k/Get-k churn exchange behind every harness loop: the
 // paper's §6 register/deregister step, batched. churn_sweep's drive
-// loop, svc_churn's client processes and migrate_churn's client threads
-// all run it; they differ only in what they count and log (the hooks).
+// loop and svc_churn's client processes both run it; they differ only
+// in what they count and log (the hooks).
 #pragma once
 
 #include <algorithm>

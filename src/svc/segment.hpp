@@ -67,8 +67,8 @@ struct alignas(sync::kCacheLineSize) Header {
   // the idle server worker parks here (with a timeout, doubling as the
   // liveness-sweep heartbeat).
   sync::FutexWord doorbell{true};
-  // Free-form cross-process coordination for harnesses (svc_churn's
-  // "child is holding" flags, op totals). Not used by the protocol.
+  // Free-form cross-process coordination for the svc tests ("child is
+  // holding" flags, op totals). Not used by the protocol.
   std::atomic<std::uint64_t> scratch[kScratchWords] = {};
 };
 

@@ -8,9 +8,9 @@
 // get()/free() on is a svc::Client round-tripping cache-padded slots
 // through the segment to the server's worker thread.
 //
-// Multi-process deployments skip this wrapper and compose the pieces
-// directly (create Segment, fork, Server::start() in the parent,
-// svc::Client in the children) — see bench/svc_churn.cpp.
+// Multi-process deployments compose the pieces directly (Segment, fork,
+// Server::start() and Server::migrate() in the parent, svc::Client in
+// the children) — see bench/svc_churn.cpp.
 #pragma once
 
 #include <cstdint>
