@@ -1,10 +1,10 @@
 // micro_ops — google-benchmark micro-latency suite for the individual
 // operations: Get/Free pairs and batched Get-k/Free-k exchanges for every
 // registered structure (registry-dispatched, so new entries are covered
-// automatically), the sharded hot paths (cache park/pop, steal-drain),
-// Collect at varying sizes, and the raw substrate costs (TAS, RNG draw)
-// that bound them. Complements the figure benches with per-operation
-// nanosecond numbers.
+// automatically), the sharded hot paths (cache park/pop, steal-drain,
+// the svc worker's two-client batch cycle), Collect at varying sizes,
+// and the raw substrate costs (TAS, RNG draw) that bound them.
+// Complements the figure benches with per-operation nanosecond numbers.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -210,6 +210,52 @@ void BM_ShardedStealDrain(benchmark::State& state) {
   array.free_batch(names.data(), k);
 }
 BENCHMARK(BM_ShardedStealDrain)->Arg(16)->Arg(64);
+
+// The svc worker's pattern with two clients on one thread: Free-16,
+// Free-16, Get-16, Get-16, half of the capacity held. The first Free
+// fills the 16-bin cache and the second overflows to the shards; the
+// first Get pops the cache and the second claims from the home shard,
+// which the prefill left at its bound unless the thread re-homes.
+// refusals/iter counts the gate refusals each cycle pays.
+void BM_ShardedTwoClientBatch(benchmark::State& state) {
+  constexpr std::size_t kBatch = 16;
+  auto array = make_sharded(/*cache_capacity=*/16);
+  rng::MarsagliaXorshift rng(7);
+  std::vector<std::uint64_t> held;
+  for (std::uint64_t i = 0; i < array.capacity() / 2; ++i) {
+    held.push_back(array.get(rng).name);
+  }
+  std::vector<GetResult> got(2 * kBatch);
+  std::vector<std::uint64_t> names(2 * kBatch);
+  auto get_batch = [&](GetResult* out) {
+    std::size_t have = 0;
+    sync::Backoff backoff;
+    while (have < kBatch) {
+      have += array.get_batch(rng, out + have, kBatch - have);
+      if (have < kBatch) backoff.pause();
+    }
+  };
+  get_batch(got.data());
+  get_batch(got.data() + kBatch);
+  const std::uint64_t refusals_before = array.stats().shard_refusals;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < 2 * kBatch; ++i) names[i] = got[i].name;
+    array.free_batch(names.data(), kBatch);
+    array.free_batch(names.data() + kBatch, kBatch);
+    get_batch(got.data());
+    get_batch(got.data() + kBatch);
+    benchmark::DoNotOptimize(got.data());
+  }
+  state.counters["refusals/iter"] = benchmark::Counter(
+      static_cast<double>(array.stats().shard_refusals - refusals_before),
+      benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(4 * kBatch));
+  for (std::size_t i = 0; i < 2 * kBatch; ++i) names[i] = got[i].name;
+  array.free_batch(names.data(), 2 * kBatch);
+  array.free_batch(held.data(), held.size());
+}
+BENCHMARK(BM_ShardedTwoClientBatch);
 
 // ---------------------------------------------------------------- Collect
 

@@ -138,7 +138,7 @@ run_tsan() {
     --target test_stress_matrix test_renamer_contract test_collect_race \
              test_model_fuzz test_svc_ring test_backoff_park \
              test_wait_queue test_deadlines test_ckpt test_slot_scan \
-             svc_churn stress_runner
+             test_sharded svc_churn stress_runner
   # The svc ring + eventcount under TSan: the SPSC handshake and the
   # park/wake protocol are where a lost fence shows up. (The fork-based
   # svc tests stay out of TSan; svc_churn runs below because it forks
@@ -154,6 +154,9 @@ run_tsan() {
   ./build-tsan/test_slot_scan
   ./build-tsan/test_collect_race
   ./build-tsan/test_model_fuzz --structure=sharded:level --seed=20260727
+  # The scale layer's own cases: thread-exit flush, steal-drain and the
+  # racing 3-thread prefill that re-homes threads off full shards.
+  ./build-tsan/test_sharded
   # Checkpoint/restore (sequential paths) and the live migration under
   # forked clients: worker quiesce, save/rebuild/restore, resume. TSan
   # sees the server-side handshake, the only run of Server::migrate with

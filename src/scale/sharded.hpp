@@ -6,7 +6,13 @@
 //   * Affinity: each thread gets a home shard (round-robin over cache
 //     slots, so threads spread evenly). Get tries the home shard first
 //     and overflow-probes the neighbors in ring order when a shard
-//     refuses.
+//     refuses. A refusal by the home also re-homes the thread for its
+//     next Get: of two candidate shards drawn from a per-slot stream,
+//     the one with more free room (power of two choices). A fixed home
+//     would make every later Get pay a refusal at the full home and
+//     pile its overflow onto the ring neighbour, which is some other
+//     thread's home. Threads without a cache slot keep their hashed
+//     home.
 //   * Refusal: the wrapper gates each shard with an occupancy counter at
 //     the shard's own contention bound. The gate is what makes a shard
 //     able to "refuse" at all — every inner structure's Get is total and
@@ -80,6 +86,7 @@
 #include "api/renamer.hpp"
 #include "core/slot_scan.hpp"
 #include "core/types.hpp"
+#include "rng/rng.hpp"
 #include "scale/thread_cache.hpp"
 #include "sync/atomic_select.hpp"
 #include "sync/cache.hpp"
@@ -123,12 +130,15 @@ namespace detail {
 
 // One thread's cache header: its `cache_capacity` bins start at `first`
 // in the shared bin array. `top` is the owner's private stack hint;
-// `hits`/`parked` are owner-written stats (single writer, so a non-RMW
-// load+store increment is race-free; readers take racy snapshots).
+// `home_shard` and `rehomes` (the position in the slot's re-home
+// candidate stream) are owner-only too; `hits`/`parked` are
+// owner-written stats (single writer, so a non-RMW load+store increment
+// is race-free; readers take racy snapshots).
 struct CacheSlot {
   std::uint32_t home_shard = 0;
   std::uint32_t first = 0;
-  std::uint32_t top = 0;  // owner-only
+  std::uint32_t top = 0;
+  std::uint32_t rehomes = 0;
   la::detail::atomic<std::uint64_t> hits{0};
   la::detail::atomic<std::uint64_t> parked{0};
 };
@@ -492,7 +502,8 @@ class ShardedRenamer {
   // that grants nothing, every shard refused and the cache was empty:
   // parked names are the reclaimable capacity, so drain every cache once
   // and sweep again — with true holds below the contention bound, some
-  // shard must then accept.
+  // shard must then accept. If the home refused, the next claim starts
+  // from a new home (rehome).
   template <typename Rng>
   std::size_t claim(Rng& rng, GetResult* out, std::size_t k, bool single) {
     detail::CacheSlot* cache =
@@ -504,10 +515,42 @@ class ShardedRenamer {
     }
     const std::uint32_t home =
         cache != nullptr ? cache->home_shard : hashed_home();
-    granted = sweep(rng, home, out, granted, k, single);
-    if (granted != 0) return granted;
-    drain_caches();
-    return sweep(rng, home, out, 0, k, single);
+    bool home_refused = false;
+    granted = sweep(rng, home, out, granted, k, single, home_refused);
+    if (granted == 0) {
+      drain_caches();
+      granted = sweep(rng, home, out, 0, k, single, home_refused);
+    }
+    if (home_refused && cache != nullptr) rehome(*cache);
+    return granted;
+  }
+
+  // Owner-only: move the home of a thread whose home just refused to the
+  // roomier (gate minus occupancy) of two candidates among the other
+  // shards — the power-of-two-choices rule, so concurrent fills spread
+  // instead of all chasing one frontier shard. The candidates come from
+  // a splitmix stream keyed by the slot, not from the caller's Rng, so
+  // the probe streams that Rng feeds stay exactly as they were. The
+  // occupancy loads are advisory: the gate fetch_add in sweep is the
+  // claim, and a stale read costs at most one more refusal. Cold and out
+  // of line: it runs about once per home fill, so claim's hot body (the
+  // cache pop) keeps its code as it was.
+  [[gnu::cold, gnu::noinline]] void rehome(detail::CacheSlot& cache) {
+    if (config_.shards < 2) return;
+    const std::uint64_t draw = rng::mix_seed(cache.first, cache.rehomes++);
+    const std::uint32_t others = config_.shards - 1;
+    const std::uint32_t a = ring(
+        cache.home_shard, 1 + static_cast<std::uint32_t>(draw % others));
+    const std::uint32_t b = ring(
+        cache.home_shard,
+        1 + static_cast<std::uint32_t>((draw >> 32) % others));
+    const std::uint64_t used_a =
+        counts_[a]->occupancy.load(std::memory_order_relaxed);
+    const std::uint64_t used_b =
+        counts_[b]->occupancy.load(std::memory_order_relaxed);
+    const std::uint64_t room_a = used_a < gates_[a] ? gates_[a] - used_a : 0;
+    const std::uint64_t room_b = used_b < gates_[b] ? gates_[b] - used_b : 0;
+    cache.home_shard = room_b > room_a ? b : a;
   }
 
   // Claim names [granted, k) from the shards in ring order from `home`.
@@ -518,10 +561,12 @@ class ShardedRenamer {
   // the inner batch surface: LevelArray's batch claim probes 8-slot
   // windows, which would change the paper's per-Get probe counts.
   // Overflow probes past full shards ride on the sweep's first
-  // shard-claimed result. Returns the new granted count.
+  // shard-claimed result. Sets `home_refused` when `home` refused part
+  // of the request. Returns the new granted count.
   template <typename Rng>
   std::size_t sweep(Rng& rng, std::uint32_t home, GetResult* out,
-                    std::size_t granted, std::size_t k, bool single) {
+                    std::size_t granted, std::size_t k, bool single,
+                    bool& home_refused) {
     const std::size_t first_shared = granted;
     std::uint32_t refusals = 0;
     for (std::uint32_t i = 0; i < config_.shards && granted < k; ++i) {
@@ -536,6 +581,7 @@ class ShardedRenamer {
         count.occupancy.fetch_sub(want - accepted, std::memory_order_relaxed);
         count.refusals.fetch_add(1, std::memory_order_relaxed);
         ++refusals;
+        if (i == 0) home_refused = true;
       }
       if (accepted == 0) continue;
       std::size_t got = 1;

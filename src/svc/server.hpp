@@ -124,7 +124,9 @@ class Server {
 
   // Ask the worker to run a dead-client sweep now and wait until it has
   // (the deterministic reclaim hook for same-process harnesses; the idle
-  // heartbeat sweeps on its own every ~50ms otherwise).
+  // heartbeat sweeps on its own every ~50ms otherwise). Returns without
+  // a sweep once the segment is shut down: a worker that died on an
+  // error sets shutdown and never sweeps again (see error()).
   void request_sweep() {
     const std::uint64_t target =
         sweeps_done_.load(std::memory_order_acquire) + 1;
@@ -132,7 +134,8 @@ class Server {
     seg_.header().doorbell.signal();
     sync::Backoff backoff;
     while (sweeps_done_.load(std::memory_order_acquire) < target &&
-           worker_.joinable()) {
+           worker_.joinable() &&
+           !seg_.header().shutdown.load(std::memory_order_acquire)) {
       backoff.pause();
     }
   }

@@ -4,8 +4,10 @@
 // straight to the shards, drain-on-collect, the global-miss drain that
 // reclaims parked capacity, thread-exit flushing with cache-slot
 // recycling across thread generations, the uncached overflow mode past
-// max_threads, and the name-routing edges (stride gaps, per-shard
-// gates).
+// max_threads, the name-routing edges (stride gaps, per-shard gates),
+// and re-homing: a thread whose home shard refuses moves its home, so a
+// fill pays one refusal per full home rather than one per Get, and does
+// not pile its overflow onto the ring neighbours.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -386,6 +388,112 @@ void check_batch_error_contract() {
   CHECK(array.collect(collected) == 0);
 }
 
+void check_rehome_refusals_per_fill() {
+  current = "rehome-refusals-per-fill";
+  la::scale::ShardedConfig config;
+  config.shards = 4;
+  config.cache_capacity = 16;
+  constexpr std::uint64_t kShard = 64;
+  Sharded array = make_sharded(config, kShard);  // capacity 256
+  la::rng::MarsagliaXorshift rng(31);
+
+  // One thread fills three shards and half of a fourth. Each time its
+  // home reaches its bound, the next Get is refused there once and the
+  // thread moves on. A fixed home would be refused by every later Get:
+  // 64 + 2*64 + 3*32 = 288 refusals.
+  std::vector<std::uint64_t> held;
+  std::uint64_t fills = 0;
+  for (std::uint64_t i = 0; i < 3 * kShard + kShard / 2; ++i) {
+    held.push_back(array.get(rng).name);
+    if ((i + 1) % kShard == 0) ++fills;
+  }
+  const std::uint64_t refusals = array.stats().shard_refusals;
+  // A re-home may draw a shard that is already full, which refuses once
+  // more; a handful per fill, never one per Get.
+  CHECK(refusals >= fills);
+  CHECK(refusals <= 4 * fills);
+  for (std::uint32_t s = 0; s < array.num_shards(); ++s) {
+    CHECK(array.gate_occupancy(s) <= kShard);
+  }
+  array.free_batch(held.data(), held.size());
+  std::vector<std::uint64_t> collected;
+  CHECK(array.collect(collected) == 0);
+}
+
+// Three threads prefill half the capacity of eight shards, each taking
+// 4/3 of a shard, so each home reaches its bound. `sequential` hands the
+// turn from thread to thread (all three stay alive, so each keeps its
+// cache slot and home); otherwise they race.
+void prefill_three_threads(Sharded& array, bool sequential,
+                           std::vector<std::uint64_t>& held) {
+  const std::uint64_t share = array.capacity() / 2 / 3;
+  std::vector<std::vector<std::uint64_t>> names(3);
+  std::atomic<int> turn{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      la::rng::MarsagliaXorshift rng(40 + static_cast<std::uint64_t>(t));
+      // Attach in thread order, so thread t owns cache slot t (home t).
+      while (turn.load(std::memory_order_acquire) != t) {
+        std::this_thread::yield();
+      }
+      names[t].push_back(array.get(rng).name);
+      if (!sequential) turn.store(t + 1, std::memory_order_release);
+      for (std::uint64_t i = 1; i < share; ++i) {
+        names[t].push_back(array.get(rng).name);
+      }
+      if (sequential) turn.store(t + 1, std::memory_order_release);
+      done.fetch_add(1, std::memory_order_acq_rel);
+      // Stay alive until every share is in: an exit would flush this
+      // thread's cache and hand its slot (and home) to the next thread.
+      while (done.load(std::memory_order_acquire) < 3) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const auto& mine : names) held.insert(held.end(), mine.begin(), mine.end());
+}
+
+void check_rehome_spreads_prefill() {
+  current = "rehome-spreads-prefill";
+  la::scale::ShardedConfig config;
+  config.shards = 8;
+  config.cache_capacity = 16;
+  constexpr std::uint64_t kShard = 96;  // divisible by 3: shares are exact
+  for (const bool sequential : {true, false}) {
+    Sharded array = make_sharded(config, kShard);
+    std::vector<std::uint64_t> held;
+    prefill_three_threads(array, sequential, held);
+    CHECK(held.size() == 4 * kShard);
+    std::set<std::uint64_t> unique(held.begin(), held.end());
+    CHECK(unique.size() == held.size());
+    CHECK(gate_sum(array) == 4 * kShard);
+    // Each thread pays about one refusal per home fill; a fixed home
+    // pays one for every Get past it (3 * 32 here, more on full rings).
+    CHECK(array.stats().shard_refusals <= 3 * config.shards);
+    if (sequential) {
+      // The homes (shards 0..2) must fill before any refusal; with a
+      // fixed home the overflow then piles onto the ring neighbour and
+      // shard 3 ends at its bound too: 96 96 96 96 0 0 0 0. Re-homed,
+      // the overflow spreads, so no shard other than a home reaches its
+      // bound while another shard is still empty.
+      std::uint64_t empty = 0;
+      for (std::uint32_t s = 0; s < array.num_shards(); ++s) {
+        if (array.gate_occupancy(s) == 0) ++empty;
+      }
+      for (std::uint32_t s = 3; s < array.num_shards(); ++s) {
+        CHECK(empty == 0 || array.gate_occupancy(s) < kShard);
+      }
+    }
+    array.free_batch(held.data(), held.size());
+    std::vector<std::uint64_t> collected;
+    CHECK(array.collect(collected) == 0);
+    CHECK(gate_sum(array) == 0);
+  }
+}
+
 void check_batch_fallback_surface() {
   current = "batch-fallback";
   // A structure with no native batch ops rides the api loop: full grant,
@@ -418,6 +526,8 @@ int main() {
   check_batch_gate_accounting_with_cache();
   check_batch_error_contract();
   check_batch_fallback_surface();
+  check_rehome_refusals_per_fill();
+  check_rehome_spreads_prefill();
 
   if (failures != 0) {
     std::fprintf(stderr, "%d sharded scale-layer check(s) failed\n",

@@ -25,6 +25,10 @@
 //     whole response (status, error_index, released count) is visible;
 //     svc::Client folds it into an exception.
 //
+//   * Worker death and request_sweep — a structure that throws inside
+//     the worker kills it (error() set, segment shut down); a later
+//     request_sweep() must return rather than wait for a sweep the dead
+//     worker will never run. A hang here is caught by the ctest TIMEOUT.
 //   * One worker — a Server's worker count must be 1; any other value
 //     throws std::invalid_argument instead of starting that many.
 //   * Segment version check — a Client refuses (runtime_error) to attach
@@ -469,6 +473,49 @@ void test_free_wire_errors(la::svc::SegmentView seg) {
   server.stop();
 }
 
+// A LevelArray whose Get throws: the first GetK served kills the worker.
+class ThrowingGet {
+ public:
+  template <typename Rng>
+  la::GetResult get(Rng& /*rng*/) {
+    throw std::runtime_error("ThrowingGet: injected get failure");
+  }
+  void free(std::uint64_t name) { inner_.free(name); }
+  std::size_t collect(std::vector<std::uint64_t>& out) const {
+    return inner_.collect(out);
+  }
+  std::uint64_t capacity() const { return inner_.capacity(); }
+  std::uint64_t total_slots() const { return inner_.total_slots(); }
+
+ private:
+  la::core::LevelArray inner_{la::core::LevelArrayConfig{}};
+};
+
+void test_sweep_after_worker_error() {
+  current = "sweep_after_worker_error";
+  la::svc::SegmentConfig config;
+  config.max_clients = 2;
+  la::svc::Segment segment(config);
+  ThrowingGet structure;
+  la::svc::Server<ThrowingGet> server(segment.view(), structure);
+  server.start();
+  {
+    la::svc::Client client(segment.view());
+    la::rng::MarsagliaXorshift rng(31);
+    bool threw = false;
+    try {
+      (void)client.get(rng);
+    } catch (const std::runtime_error&) {
+      threw = true;  // the server shut down mid-request
+    }
+    CHECK(threw);
+  }
+  CHECK(server.error().find("injected get failure") != std::string::npos);
+  server.request_sweep();  // must return: the worker is gone
+  CHECK(server.stats().reclaims == 0);
+  server.stop();
+}
+
 // A segment with `ready` raised by hand and this (live) process as its
 // server: enough for a Client to attach with no Server running.
 void mark_ready(la::svc::SegmentView seg) {
@@ -680,6 +727,7 @@ int main() {
   test_server_death_mid_collect(segment_c.view(), collect_server_pid);
   test_forged_token(segment_b.view(), holder_pid);
   test_free_wire_errors(segment_d.view());
+  test_sweep_after_worker_error();
   test_one_worker();
   test_segment_version();
   test_wait_counters();
