@@ -57,12 +57,17 @@ ORDER_RANK = {
     "acq_rel": 3,
     "seq_cst": 4,
 }
+# The operation a memory_order argument belongs to: a member call on an
+# atomic, or a free fence function. A compiler-only fence
+# (atomic_signal_fence) is its own op, so it can never stand in for a
+# CPU fence row.
 OP_RE = re.compile(
-    r"(?:\.|->)\s*(load|store|exchange|fetch_add|fetch_sub|fetch_or|fetch_and|"
-    r"fetch_xor|compare_exchange_weak|compare_exchange_strong|test_and_set|"
-    r"clear|wait)\s*\($"
-    r"|(atomic_thread_fence)\s*\($"
-)
+    r"(?:(?:\.|->)\s*(load|store|exchange|fetch_add|fetch_sub|fetch_or|"
+    r"fetch_and|fetch_xor|compare_exchange_weak|compare_exchange_strong|"
+    r"test_and_set|clear|wait)|"
+    r"\b(atomic_thread_fence|atomic_signal_fence))\s*\(")
+FENCE_OPS = {"atomic_thread_fence": "fence",
+             "atomic_signal_fence": "signal_fence"}
 IGNORE_RE = re.compile(r"//\s*atomics-lint:\s*(ignore|mutation)\b")
 # Heuristic for "the function this site lives in": the last line above it
 # that looks like a function definition header (name + parens + opening
@@ -133,12 +138,8 @@ def extract_file(path, text=None):
             window = " ".join(w.split("//", 1)[0] for w in window_lines)
             stmt = re.split(r"[;{}]", window)[-1]
             op = None
-            for om in re.finditer(
-                    r"(?:(?:\.|->)\s*(load|store|exchange|fetch_add|fetch_sub|"
-                    r"fetch_or|fetch_and|fetch_xor|compare_exchange_weak|"
-                    r"compare_exchange_strong|test_and_set|clear|wait)|"
-                    r"\b(atomic_thread_fence))\s*\(", stmt):
-                op = om.group(1) or "fence"
+            for om in OP_RE.finditer(stmt):
+                op = om.group(1) or FENCE_OPS[om.group(2)]
             if op is None:
                 # Not a call argument (e.g. a default parameter, an enum
                 # table, a using-alias): not an executable site.
@@ -288,8 +289,17 @@ def self_test():
         "    // atomics-lint: ignore\n    return !flag_.exchange"))
     assert len(ignored) == 1, ignored
 
+    fences = extract_file(fake, (
+        "void wake() {\n"
+        "  std::atomic_signal_fence(std::memory_order_seq_cst);\n"
+        "  std::atomic_thread_fence(std::memory_order_seq_cst);\n"
+        "}\n"))
+    assert [(s.op, s.order) for s in fences] == [
+        ("signal_fence", "seq_cst"), ("fence", "seq_cst")], fences
+
     print("self-test OK: clean tree passes, acquire->relaxed downgrade "
-          "fails, ignore marker suppresses")
+          "fails, ignore marker suppresses, compiler and CPU fences are "
+          "distinct ops")
 
 
 def main():

@@ -67,9 +67,11 @@
 //     before it;
 //   drain's inner free(release)     ->  any later inner get(acquire RMW):
 //     covers re-issue of a drained name to another thread;
-//   release path's wake (seq_cst fence) <-> waiter's prepare_wait and
-//     capacity re-probe: a Free either sees the waiter queued or the
-//     waiter's re-probe sees the freed capacity (wait_queue.hpp);
+//   release path's wake (light_fence: a compiler barrier) <-> waiter's
+//     prepare_wait (heavy_fence: a membarrier) and capacity re-probe: a
+//     Free either sees the waiter queued or the waiter's re-probe sees
+//     the freed capacity. The waiter pays the barrier, once per park; the
+//     Free pays none (asymmetric_fence.hpp, wait_queue.hpp);
 //   fork/join in the harnesses      ->  reaper frees and final collect.
 #pragma once
 

@@ -19,8 +19,12 @@
 // impossible; spurious returns are allowed and callers must loop.
 //
 // signal() is engineered for the hot path with no waiters: one seq_cst
-// fence plus one load, no RMW, no syscall — a Free in the uncontended
-// steady state pays nothing for the parked-waiter tier existing.
+// fence plus one load, no RMW, no syscall. Both sides pay a CPU fence
+// here, unlike the WaitQueue, whose wakers pay only a compiler barrier
+// and whose waiters a membarrier (asymmetric_fence.hpp): a FutexWord may
+// sit in a segment shared across processes (the svc doorbells), and
+// membarrier(PRIVATE_EXPEDITED) only reaches this process's threads, so
+// a waker in another process would get no barrier.
 //
 // Timed waits use FUTEX_WAIT_BITSET, whose timeout is an *absolute*
 // CLOCK_MONOTONIC instant, and loop on EINTR and spurious returns until

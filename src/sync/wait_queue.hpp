@@ -23,6 +23,14 @@
 //   waker:   release_capacity();
 //            q.wake_one();                   // grant the oldest ticket
 //
+// The barrier between "publish" and "check the other side" is the
+// asymmetric pair of asymmetric_fence.hpp, not FutexWord's symmetric
+// seq_cst fence: the waiter pays heavy_fence() (one membarrier) once per
+// park, right after its registration, and the waker pays light_fence()
+// (a compiler barrier) on every release. The queue is process-private,
+// so membarrier's reach (this process's threads) covers every waker; the
+// cross-process svc doorbells keep FutexWord's fence.
+//
 // Handoff: a woken waiter that loses the re-check race can re-enter with
 // prepare_wait(w, /*front=*/true), which re-queues it at the *head* —
 // its effective position never degrades, so "overtaken at most
@@ -50,6 +58,7 @@
 #include <cstdint>
 
 #include "sync/annotations.hpp"
+#include "sync/asymmetric_fence.hpp"
 #include "sync/atomic_select.hpp"
 #include "sync/futex.hpp"
 #include "sync/spin_lock.hpp"
@@ -82,7 +91,7 @@ class WaitQueue {
     la::detail::atomic<std::uint32_t> state_{kQueued};
   };
 
-  WaitQueue() = default;
+  WaitQueue() { register_asymmetric_fence(); }
   // Start the ticket counter at an arbitrary value. Tickets are 64-bit
   // and never wrap in practice; what *does* wrap is the 32-bit futex
   // bitset channel keyed by ticket % 32. The verify harness constructs
@@ -90,7 +99,9 @@ class WaitQueue {
   // straight through that boundary.
   explicit WaitQueue(std::uint64_t first_ticket)
       : next_ticket_(first_ticket == 0 ? 1 : first_ticket),
-        first_ticket_(first_ticket == 0 ? 1 : first_ticket) {}
+        first_ticket_(first_ticket == 0 ? 1 : first_ticket) {
+    register_asymmetric_fence();
+  }
   WaitQueue(const WaitQueue&) = delete;
   WaitQueue& operator=(const WaitQueue&) = delete;
 
@@ -110,10 +121,12 @@ class WaitQueue {
         link_back(w);
       }
     }
-    // seq_cst: the registration must be visible to a waker's
-    // waiters()==0 fast-path check before the caller re-checks its
-    // condition (mirrors FutexWord::prepare_wait's ordering).
+    // seq_cst + heavy_fence: the registration must be visible to a
+    // waker's waiters()==0 fast-path check before the caller re-checks
+    // its condition. The heavy side of the asymmetric pair is what lets
+    // wake_one/wake_all skip their CPU fence.
     count_.fetch_add(1, std::memory_order_seq_cst);
+    heavy_fence();
   }
 
   // Abandon a prepared wait (the condition came true before sleeping).
@@ -163,11 +176,12 @@ class WaitQueue {
   }
 
   // Grant the oldest queued ticket. Returns the granted ticket, or 0 if
-  // the queue was empty. The no-waiter fast path costs one fence + one
-  // load (mirrors FutexWord::signal), so release paths call it
+  // the queue was empty. The no-waiter fast path costs one compiler
+  // barrier + two loads (the fence mode and the count; the waiter's
+  // heavy_fence pays for the CPU barrier), so release paths call it
   // unconditionally.
   std::uint64_t wake_one() {
-    la::detail::atomic_thread_fence(std::memory_order_seq_cst);
+    light_fence();
     if (count_.load(std::memory_order_seq_cst) == 0) return 0;
     std::uint64_t ticket = 0;
     std::uint32_t bits = 0;
@@ -189,7 +203,7 @@ class WaitQueue {
   // Grant every queued ticket (bulk Free-k: many slots released at
   // once). Returns how many waiters were granted.
   std::size_t wake_all() {
-    la::detail::atomic_thread_fence(std::memory_order_seq_cst);
+    light_fence();
     if (count_.load(std::memory_order_seq_cst) == 0) return 0;
     std::size_t woken = 0;
     {

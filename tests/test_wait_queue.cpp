@@ -23,6 +23,12 @@
 //   * Oversubscribed churn — threads park/re-park past 32 tickets so the
 //     ticket%32 wake-bit channel wraps and collides; collisions may cost
 //     spurious wakes but never a lost grant, proven by termination.
+//   * Dekker edge — one release (flag store + one wake_one) races one
+//     park (prepare_wait, flag re-check, commit_wait) for 100k rounds:
+//     the no-lost-wakeup edge that the asymmetric fence pair carries. A
+//     lost wakeup hangs into the ctest TIMEOUT. It runs once more in a
+//     fork()ed child, where a membarrier registration that did not
+//     survive fork would abort.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -34,9 +40,13 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <pthread.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 
+#include "sync/asymmetric_fence.hpp"
 #include "sync/futex.hpp"
+#include "sync/spin_barrier.hpp"
 #include "sync/wait_queue.hpp"
 
 namespace {
@@ -256,14 +266,107 @@ void test_oversub_churn() {
   CHECK(q.tickets_issued() >= kThreads * kParksPerThread);
 }
 
+// --- the Dekker edge: one release racing one park ------------------------
+
+constexpr std::uint32_t kDekkerRounds = 100'000;
+
+// Spin 0..mask pauses, so the release and the park overlap differently
+// from round to round (the waker's wider span lets either side arrive
+// first).
+void jitter(std::uint32_t& x, std::uint32_t mask) {
+  x ^= x << 13;
+  x ^= x >> 17;
+  x ^= x << 5;
+  for (std::uint32_t i = x & mask; i != 0; --i) la::sync::spin_pause();
+}
+
+// Round r: the waker publishes r (a release store, as a Free publishes
+// capacity) and calls wake_one() once; the waiter prepare_waits,
+// re-checks the flag, and commit_waits with no deadline only if it does
+// not see r yet. Either wake_one sees the waiter counted and grants it,
+// or the re-check sees the flag; a round that does neither sleeps
+// forever. test_oversub_churn wakes until everyone is through, so it
+// never tests this single-wake edge.
+void test_dekker_edge() {
+  current = "dekker_edge";
+  la::sync::WaitQueue q;
+  std::atomic<std::uint32_t> flag{0};
+  std::atomic<std::uint32_t> start{0};  // round r may begin
+  std::atomic<std::uint32_t> done{0};   // the waiter finished round r
+  std::uint32_t slept = 0;              // waiter-owned until join
+
+  std::thread waiter([&] {
+    std::uint32_t x = 0x9e3779b9u;
+    for (std::uint32_t r = 1; r <= kDekkerRounds; ++r) {
+      la::sync::Backoff backoff;
+      while (start.load(std::memory_order_acquire) != r) backoff.pause();
+      jitter(x, 63);
+      la::sync::WaitQueue::Waiter w;
+      q.prepare_wait(w);
+      if (flag.load(std::memory_order_acquire) >= r) {
+        q.cancel_wait(w);
+      } else {
+        ++slept;
+        CHECK(q.commit_wait(w) == la::sync::WaitResult::kWoken);
+      }
+      done.store(r, std::memory_order_release);
+    }
+  });
+
+  std::uint32_t x = 0x85ebca6bu;
+  std::uint32_t grants = 0;
+  for (std::uint32_t r = 1; r <= kDekkerRounds; ++r) {
+    la::sync::Backoff backoff;
+    while (done.load(std::memory_order_acquire) != r - 1) backoff.pause();
+    start.store(r, std::memory_order_release);
+    jitter(x, 255);
+    flag.store(r, std::memory_order_release);
+    if (q.wake_one() != 0) ++grants;
+  }
+  waiter.join();
+  // Every round that slept was woken by that round's one grant.
+  CHECK(slept <= grants);
+  CHECK(q.waiters() == 0);
+  std::printf("dekker_edge: %u rounds, %u slept and were granted, %u saw "
+              "the release on re-check (barrier: %s)\n",
+              kDekkerRounds, slept, kDekkerRounds - slept,
+              la::sync::asymmetric_fence_active() ? "membarrier" : "fence");
+}
+
+// The same stress in a fork()ed child of a process whose registration
+// is already done. Runs before any thread starts, so the child is a
+// single-threaded copy (ThreadSanitizer refuses threads after a
+// multi-threaded fork).
+void test_dekker_edge_after_fork() {
+#if defined(__unix__) || defined(__APPLE__)
+  la::sync::WaitQueue registered;  // registers the barrier before fork
+  (void)registered;
+  std::fflush(stdout);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    test_dekker_edge();
+    std::fflush(stdout);
+    std::fflush(stderr);
+    ::_exit(failures == 0 ? 0 : 1);
+  }
+  current = "dekker_edge_fork";
+  CHECK(pid > 0);
+  int status = 0;
+  CHECK(::waitpid(pid, &status, 0) == pid);
+  CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+#endif
+}
+
 }  // namespace
 
 int main() {
+  test_dekker_edge_after_fork();
   test_fifo_order();
   test_handoff_and_cancel();
   test_timed_expiry();
   test_signal_bombardment();
   test_oversub_churn();
+  test_dekker_edge();
   if (failures == 0) {
     std::printf("test_wait_queue: all checks passed\n");
     return 0;
