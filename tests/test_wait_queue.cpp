@@ -340,7 +340,6 @@ void test_dekker_edge() {
 void test_dekker_edge_after_fork() {
 #if defined(__unix__) || defined(__APPLE__)
   la::sync::WaitQueue registered;  // registers the barrier before fork
-  (void)registered;
   std::fflush(stdout);
   const pid_t pid = ::fork();
   if (pid == 0) {
