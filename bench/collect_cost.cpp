@@ -6,9 +6,11 @@
 // the per-slot scan cost, confirming the linear shape.
 //
 // --scan ablates the scan engine itself: `word` is the production
-// 8-slots-per-load engine (core/slot_scan.hpp), `byte` the one-atomic-
-// load-per-slot reference it replaced — so the engine's win is measured
-// here, not asserted in a comment.
+// engine (core/slot_scan.hpp; its append_held runs the AVX-512 body where
+// the CPU has it, the 8-slots-per-load word body elsewhere), `byte` the
+// one-atomic-load-per-slot reference it replaced — so the engine's win is
+// measured here, not asserted in a comment. Each run's config records the
+// body that ran as "kernel": avx512, words or bytes.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "bench_util/report.hpp"
 #include "bench_util/timing.hpp"
 #include "core/level_array.hpp"
+#include "core/slot_scan.hpp"
 #include "rng/rng.hpp"
 #include "stats/table.hpp"
 #include "stats/welford.hpp"
@@ -62,6 +65,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool word_scan = scan == "word";
+  const std::string kernel =
+      word_scan ? core::slot_scan::append_held_kernel() : "bytes";
   const auto run_collect = [word_scan](const core::LevelArray& array,
                                        std::vector<std::uint64_t>& out) {
     return word_scan ? array.collect(out) : array.collect_bytewise(out);
@@ -72,7 +77,8 @@ int main(int argc, char** argv) {
   std::cout << "# Collect cost: latency vs L (expect linear; per-slot cost "
                "roughly constant)\n"
             << "# load = " << load << " of capacity registered, " << reps
-            << " collects per point, scan engine = " << scan << "\n";
+            << " collects per point, scan engine = " << scan
+            << " (kernel " << kernel << ")\n";
 
   stats::Table table({"capacity", "L_total_slots", "registered",
                       "collect_us_mean", "collect_us_stddev", "ns_per_slot"});
@@ -122,6 +128,7 @@ int main(int argc, char** argv) {
                                   .set("load", load)
                                   .set("reps", reps)
                                   .set("scan", scan)
+                                  .set("kernel", kernel)
                                   .set("seed", seed))
         // One "op" is one full Collect of the array.
         .set("ops_per_sec", mean_us > 0.0 ? 1e6 / mean_us : 0.0)

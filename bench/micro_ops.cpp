@@ -2,8 +2,9 @@
 // operations: Get/Free pairs and batched Get-k/Free-k exchanges for every
 // registered structure (registry-dispatched, so new entries are covered
 // automatically), the sharded hot paths (cache park/pop, steal-drain,
-// the svc worker's two-client batch cycle), Collect at varying sizes,
-// and the raw substrate costs (TAS, RNG draw) that bound them.
+// the svc worker's two-client batch cycle), Collect at varying sizes up
+// to perfbench's shape, each append_held body on that shape, and the raw
+// substrate costs (TAS, RNG draw) that bound them.
 // Complements the figure benches with per-operation nanosecond numbers.
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 
 #include "api/registry.hpp"
 #include "core/level_array.hpp"
+#include "core/slot_scan.hpp"
 #include "rng/rng.hpp"
 #include "scale/sharded.hpp"
 #include "sync/spin_barrier.hpp"
@@ -280,6 +282,67 @@ void BM_Collect(benchmark::State& state) {
                           static_cast<std::int64_t>(array.total_slots()));
   for (const auto name : held) array.free(name);
 }
-BENCHMARK(BM_Collect)->Arg(1000)->Arg(10000)->Arg(100000);
+// The last size is perfbench's flat-churn-collect shape: N = 3 * 2^20,
+// 6 Mi slots, 25% of them held.
+BENCHMARK(BM_Collect)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(3 << 20)
+    ->Unit(benchmark::kMicrosecond);
+
+// One row per append_held body on the same shape: 2 * 3 * 2^20 slots, a
+// random 25% of them held. `bytes` is the per-byte reference loop.
+using AppendBody = std::size_t (*)(const sync::TasCell*, std::uint64_t,
+                                   std::vector<std::uint64_t>&,
+                                   std::uint64_t);
+
+std::size_t append_held_bytes(const sync::TasCell* cells, std::uint64_t n,
+                              std::vector<std::uint64_t>& out,
+                              std::uint64_t base) {
+  const std::size_t before = out.size();
+  core::slot_scan::for_each_held_bytewise(
+      cells, n, [&](std::uint64_t i) { out.push_back(base + i); });
+  return out.size() - before;
+}
+
+AppendBody avx512_body() {
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (core::slot_scan::avx512_supported()) {
+    return &core::slot_scan::append_held_avx512;
+  }
+#endif
+  return nullptr;
+}
+
+void BM_AppendHeld(benchmark::State& state, AppendBody body) {
+  if (body == nullptr) {
+    state.SkipWithError("body not available in this build or on this CPU");
+    return;
+  }
+  const std::uint64_t slots = 2 * (std::uint64_t{3} << 20);
+  std::vector<sync::TasCell> cells(slots);
+  rng::MarsagliaXorshift rng(5);
+  for (auto& cell : cells) {
+    if (rng::bounded(rng, 4) == 0) cell.try_acquire();
+  }
+  std::vector<std::uint64_t> out;
+  out.reserve(slots);
+  for (auto _ : state) {
+    out.clear();
+    benchmark::DoNotOptimize(body(cells.data(), slots, out, 0));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(slots));
+}
+BENCHMARK_CAPTURE(BM_AppendHeld, bytes, &append_held_bytes)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AppendHeld, words,
+                  &core::slot_scan::append_held_words)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AppendHeld, avx512, avx512_body())
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -126,6 +126,18 @@ run_asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j "${JOBS}"
   (cd build-asan && ctest --output-on-failure)
+  # test_slot_scan calls the AVX-512 append_held body directly, slack
+  # stores included, wherever the CPU has AVX-512F/BW. On such a host the
+  # body must have run under ASan, not been skipped.
+  if grep -qw avx512bw /proc/cpuinfo 2>/dev/null; then
+    local bodies
+    bodies="$(./build-asan/test_slot_scan)"
+    echo "${bodies}"
+    grep -q 'bodies: words avx512' <<< "${bodies}" || {
+      echo "check.sh asan: AVX-512 host, but the avx512 body did not run" >&2
+      exit 1
+    }
+  fi
 }
 
 run_tsan() {
@@ -150,8 +162,15 @@ run_tsan() {
   ./build-tsan/test_wait_queue
   ./build-tsan/test_deadlines
   ./build-tsan/test_renamer_contract
-  # Scan-engine parity through load_word's per-byte TSan fallback.
-  ./build-tsan/test_slot_scan
+  # Scan-engine parity through load_word's per-byte TSan fallback; the
+  # TSan build compiles the vector append_held body out.
+  local bodies
+  bodies="$(./build-tsan/test_slot_scan)"
+  echo "${bodies}"
+  grep -q 'dispatch runs bytes' <<< "${bodies}" || {
+    echo "check.sh tsan: append_held did not run the bytewise path" >&2
+    exit 1
+  }
   ./build-tsan/test_collect_race
   ./build-tsan/test_model_fuzz --structure=sharded:level --seed=20260727
   # The scale layer's own cases: thread-exit flush, steal-drain and the

@@ -11,22 +11,38 @@
 // bitmap, which branches once per held slot plus once per block instead
 // of once per word (the per-word branch mispredicts at any mixed load).
 //
+// append_held, the one collect body, dispatches once per call. On x86-64
+// hosts whose CPU has AVX-512F/BW it runs a vector body: one 64-byte load
+// and one byte test give a block's held bitmap, and eight 8-lane
+// compresses turn that bitmap into ascending indices, stored straight
+// into the output. Once the scan is word-wide, extracting the indices is
+// most of a Collect's cost (a 25%-held array spends more time in the ctz
+// loop's per-name push_back than in the loads), and the compress removes
+// that loop. Everywhere else append_held runs the word body. The library
+// is built with no -march flag, so the vector body carries its own target
+// attribute and the CPU is checked at run time; builds that define
+// LA_SLOT_SCAN_BYTEWISE_WORDS (TSan, the model checker, big-endian hosts)
+// compile the dispatch out. count_held, for_each_held, find_first_clear
+// and claim_clear are word-engine only.
+//
 // Snapshot semantics are the same documented racy snapshot as the
-// per-byte relaxed loads these scans replace: each byte is read exactly
-// once, a concurrent acquire/release may or may not be visible, and no
-// value other than a real cell state can be observed (bytes cannot tear).
-// Under ThreadSanitizer the word load is compiled as eight relaxed
-// per-byte atomic loads so instrumentation sees the same access pattern
-// it can reason about; the plain-memory fast path is for real builds.
+// per-byte relaxed loads these scans replace, in every body: each byte is
+// read exactly once, a concurrent acquire/release may or may not be
+// visible, and no value other than a real cell state can be observed
+// (bytes cannot tear); indices come out ascending. Under ThreadSanitizer
+// the word load is compiled as eight relaxed per-byte atomic loads so
+// instrumentation sees the same access pattern it can reason about; the
+// plain-memory fast paths are for real builds.
 //
 // Three primitives over a dense TasCell range (count_held, for_each_held
-// with its append_held wrapper, find_first_clear), the multi-claim engine
-// behind the batch Get paths, per-byte reference implementations (the
-// ablation baseline for collect_cost --scan=byte and the oracle for the
-// parity tests), plus the bit-domain sibling the BitmapActivityArray's
-// packed-word layout scans with.
+// with its append_held collect body, find_first_clear), the multi-claim
+// engine behind the batch Get paths, per-byte reference implementations
+// (the ablation baseline for collect_cost --scan=byte and the oracle for
+// the parity tests), plus the bit-domain sibling the
+// BitmapActivityArray's packed-word layout scans with.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -55,6 +71,13 @@
     defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__) && \
     __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #define LA_SLOT_SCAN_BYTEWISE_WORDS 1
+#endif
+// The vector append_held body: x86-64 only, and never where the word load
+// itself is bytewise (that build exists to keep every read instrumented).
+#if !defined(LA_SLOT_SCAN_BYTEWISE_WORDS) && defined(__x86_64__) && \
+    defined(__GNUC__)
+#define LA_SLOT_SCAN_AVX512 1
+#include <immintrin.h>
 #endif
 
 namespace la::core::slot_scan {
@@ -175,14 +198,114 @@ void for_each_held(const sync::TasCell* cells, std::uint64_t n, Fn&& fn) {
   }
 }
 
-// Appends the index of every held slot to out, ascending; returns how
-// many it appended (out's existing contents are kept). The one collect
-// body every dense TasCell structure shares.
-inline std::size_t append_held(const sync::TasCell* cells, std::uint64_t n,
-                               std::vector<std::uint64_t>& out) {
+// Word body of append_held: the for_each_held bitmap walk, one push_back
+// per held slot. Appends base + index for every held slot, ascending.
+inline std::size_t append_held_words(const sync::TasCell* cells,
+                                     std::uint64_t n,
+                                     std::vector<std::uint64_t>& out,
+                                     std::uint64_t base = 0) {
   const std::size_t before = out.size();
-  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(i); });
+  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(base + i); });
   return out.size() - before;
+}
+
+#if defined(LA_SLOT_SCAN_AVX512)
+// Does this CPU run append_held_avx512? Checked once per process;
+// __builtin_cpu_init makes the check safe from a static initializer.
+inline bool avx512_supported() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512bw") &&
+           __builtin_cpu_supports("popcnt");
+  }();
+  return supported;
+}
+
+// Vector body of append_held; call only where avx512_supported(). Same
+// output as append_held_words. Works in chunks of up to 64 blocks of 64
+// slots: the first pass reads each block once (one load, one byte test)
+// into a held bitmap and counts the chunk's held slots; then out grows
+// once, by that count plus 8 entries of slack, and the second pass
+// compresses each bitmap byte's lanes out of an 8-lane index vector and
+// stores all 8 lanes unaligned at the running end — the slack absorbs
+// the lanes past it, and the final resize trims it. Each group's store
+// offset is a popcount of the bitmap's lower bits, so the eight stores of
+// a block do not wait on each other; an empty block stores nothing.
+__attribute__((target("avx512f,avx512bw,popcnt"))) inline std::size_t
+append_held_avx512(const sync::TasCell* cells, std::uint64_t n,
+                   std::vector<std::uint64_t>& out, std::uint64_t base = 0) {
+  static_assert(sizeof(sync::TasCell) == 1,
+                "vector scans require dense 1-byte slots");
+  constexpr std::uint64_t kChunkBlocks = 64;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(cells);
+  const std::size_t before = out.size();
+  __m512i lanes[8];
+  for (int g = 0; g < 8; ++g) {
+    lanes[g] = _mm512_add_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                _mm512_set1_epi64(8 * g));
+  }
+  std::uint64_t bits[kChunkBlocks] = {};
+  std::uint64_t i = 0;
+  while (n - i >= 64) {
+    const std::uint64_t blocks = std::min(kChunkBlocks, (n - i) / 64);
+    std::size_t held = 0;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const __m512i v = _mm512_loadu_si512(bytes + i + 64 * b);
+      bits[b] = _mm512_test_epi8_mask(v, v);
+      held += static_cast<std::size_t>(_mm_popcnt_u64(bits[b]));
+    }
+    const std::size_t at = out.size();
+    out.resize(at + held + 8);
+    std::uint64_t* dst = out.data() + at;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t m = bits[b];
+      if (m == 0) continue;  // sparse stretches: LevelArray's upper batches
+      const __m512i block =
+          _mm512_set1_epi64(static_cast<long long>(base + i + 64 * b));
+      for (int g = 0; g < 8; ++g) {
+        const std::uint64_t below = (std::uint64_t{1} << (8 * g)) - 1;
+        _mm512_storeu_si512(
+            dst + _mm_popcnt_u64(m & below),
+            _mm512_maskz_compress_epi64(static_cast<__mmask8>(m >> (8 * g)),
+                                        _mm512_add_epi64(block, lanes[g])));
+      }
+      dst += _mm_popcnt_u64(m);
+    }
+    out.resize(at + held);
+    i += 64 * blocks;
+  }
+  for (; i < n; ++i) {
+    if (cells[i].held()) out.push_back(base + i);
+  }
+  return out.size() - before;
+}
+#endif
+
+// Appends base + index for every held slot to out, ascending; returns how
+// many it appended (out's existing contents are kept). The one collect
+// body every dense TasCell structure shares: the vector body where the
+// CPU has it, the word body elsewhere.
+inline std::size_t append_held(const sync::TasCell* cells, std::uint64_t n,
+                               std::vector<std::uint64_t>& out,
+                               std::uint64_t base = 0) {
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (avx512_supported()) return append_held_avx512(cells, n, out, base);
+#endif
+  return append_held_words(cells, n, out, base);
+}
+
+// Which append_held body runs in this build on this CPU: "avx512",
+// "words", or "bytes" where the word load is itself bytewise.
+inline const char* append_held_kernel() {
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (avx512_supported()) return "avx512";
+#endif
+#if defined(LA_SLOT_SCAN_BYTEWISE_WORDS)
+  return "bytes";
+#else
+  return "words";
+#endif
 }
 
 // Index of the first clear slot, or n if every slot is held.

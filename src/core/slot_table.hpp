@@ -41,7 +41,7 @@ class SlotTable {
   }
 
   // Appends the held names to out and returns how many. Theta(L) by
-  // design: a sequential scan of the dense bytes, 8 slots per load
+  // design: a sequential scan of the dense bytes, 64 or 8 slots per load
   // (racy-snapshot semantics, see core/slot_scan.hpp).
   std::size_t collect(std::vector<std::uint64_t>& out) const {
     return slot_scan::append_held(slots_.data(), slots_.size(), out);

@@ -296,7 +296,7 @@ class ShardedRenamer {
 
   // Logically held names: drains every cache first (so the shards' own
   // state agrees with the logical state at the audit point), then
-  // word-scans the dense held-bitmap. The drain is deliberate — it is
+  // scans the dense held-bitmap. The drain is deliberate — it is
   // what makes the scan *exact* against the shards at quiescence — but
   // it perturbs the structure (destroys cache locality for every
   // thread), so observability paths that only need the logical hold set
@@ -314,9 +314,17 @@ class ShardedRenamer {
   // never appears here — but unlike collect() it leaves the shards' own
   // occupancy out of sync with the logical state (parked names stay
   // acquired inside their shard). Monitoring, stats, and snapshot
-  // paths that tolerate racy-snapshot semantics use this.
+  // paths that tolerate racy-snapshot semantics use this. Each shard
+  // scans only its real slots, never the stride padding past its local
+  // bound, which no name can address.
   std::size_t peek_held(std::vector<std::uint64_t>& out) const {
-    return core::slot_scan::append_held(held_.data(), held_.size(), out);
+    std::size_t found = 0;
+    for (std::size_t s = 0; s < local_bounds_.size(); ++s) {
+      const std::uint64_t first = static_cast<std::uint64_t>(s) * stride_;
+      found += core::slot_scan::append_held(held_.data() + first,
+                                            local_bounds_[s], out, first);
+    }
+    return found;
   }
 
   std::uint64_t capacity() const { return capacity_; }

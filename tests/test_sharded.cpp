@@ -4,10 +4,12 @@
 // straight to the shards, drain-on-collect, the global-miss drain that
 // reclaims parked capacity, thread-exit flushing with cache-slot
 // recycling across thread generations, the uncached overflow mode past
-// max_threads, the name-routing edges (stride gaps, per-shard gates),
-// and re-homing: a thread whose home shard refuses moves its home, so a
-// fill pays one refusal per full home rather than one per Get, and does
-// not pile its overflow onto the ring neighbours.
+// max_threads, the name-routing edges (stride gaps, per-shard gates), a
+// hold-set scan that skips the stride padding, and re-homing: a thread
+// whose home shard refuses moves its home, so a fill pays one refusal per
+// full home rather than one per Get, and does not pile its overflow onto
+// the ring neighbours.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -263,6 +265,46 @@ void check_routing_edges() {
   Sharded one = make_sharded(degenerate, 4);
   CHECK(one.num_shards() == 1);
   CHECK(one.capacity() == 4);
+}
+
+// peek_held scans each shard's real slots only, not the stride padding.
+// With a non-power-of-two shard size the padding is a real gap, so a scan
+// bounded or offset wrongly per shard drops or renames names. At
+// quiescence the held bitmap holds exactly the granted names, so the scan
+// must equal them, sorted — what a byte-by-byte scan of the whole bitmap
+// reads.
+void check_peek_held_skips_padding() {
+  current = "peek-held-padding";
+  la::scale::ShardedConfig config;
+  config.shards = 3;
+  config.cache_capacity = 0;  // every Free reaches its shard
+  Sharded array = make_sharded(config, 1000);
+  la::rng::MarsagliaXorshift rng(31);
+  CHECK(array.total_slots() > array.capacity() * 2);  // padded stride
+
+  std::vector<std::uint64_t> held;
+  for (std::uint64_t i = 0; i < array.capacity(); ++i) {
+    held.push_back(array.get(rng).name);
+  }
+  for (std::size_t i = 0; i < held.size();) {
+    if (rng() % 3 == 0) {
+      array.free(held[i]);
+      held[i] = held.back();
+      held.pop_back();
+    } else {
+      ++i;
+    }
+  }
+  std::sort(held.begin(), held.end());
+
+  std::vector<std::uint64_t> peeked = {42};  // a prefix survives
+  CHECK(array.peek_held(peeked) == held.size());
+  CHECK(peeked.front() == 42);
+  peeked.erase(peeked.begin());
+  CHECK(peeked == held);
+  std::vector<std::uint64_t> collected;
+  CHECK(array.collect(collected) == held.size());
+  CHECK(collected == held);
 }
 
 std::uint64_t gate_sum(const Sharded& array) {
@@ -522,6 +564,7 @@ int main() {
   check_thread_exit_flush_and_slot_reuse();
   check_uncached_overflow_mode();
   check_routing_edges();
+  check_peek_held_skips_padding();
   check_batch_partial_refusal_and_refund();
   check_batch_gate_accounting_with_cache();
   check_batch_error_contract();

@@ -1,7 +1,9 @@
 // Scan-engine parity: the word engine (8 slots per load, SWAR masks,
-// 64-slot held-bitmap fold) must agree with the per-byte reference on
-// every occupancy pattern — in particular around word and block
-// boundaries and tail remainders, where SWAR bugs live (the
+// 64-slot held-bitmap fold) and every append_held body this host can run
+// (the word body always, the AVX-512 body where the CPU has it) must
+// agree with the per-byte reference on every occupancy pattern — in
+// particular around word, block and 64-block chunk boundaries and tail
+// remainders, where SWAR and compress-store bugs live (the
 // borrow-propagating zero-byte mask this suite was written against
 // misclassified bytes above the first clear slot).
 #include <algorithm>
@@ -29,6 +31,7 @@ int failures = 0;
   } while (0)
 
 using la::core::slot_scan::append_held;
+using la::core::slot_scan::append_held_words;
 using la::core::slot_scan::count_held;
 using la::core::slot_scan::count_held_bytewise;
 using la::core::slot_scan::find_first_clear;
@@ -50,11 +53,56 @@ std::vector<std::uint64_t> collect_byte(const la::sync::TasCell* cells,
   return out;
 }
 
+using AppendBody = std::size_t (*)(const la::sync::TasCell*, std::uint64_t,
+                                   std::vector<std::uint64_t>&,
+                                   std::uint64_t);
+
+struct Body {
+  const char* name;
+  AppendBody fn;
+};
+
+// Every append_held body this build can run on this CPU, plus the
+// dispatching entry point itself.
+std::vector<Body> append_bodies() {
+  std::vector<Body> bodies = {{"words", &append_held_words}};
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (la::core::slot_scan::avx512_supported()) {
+    bodies.push_back({"avx512", &la::core::slot_scan::append_held_avx512});
+  }
+#endif
+  bodies.push_back({"dispatch", &append_held});
+  return bodies;
+}
+
+const std::vector<Body> kBodies = append_bodies();
+
+// Each body against the byte oracle: into an empty vector from index 0,
+// and behind a non-empty prefix with a base offset (the sharded
+// per-shard form), which must keep the prefix and return only what it
+// appended.
+void check_append(const la::sync::TasCell* cells, std::uint64_t n) {
+  const std::vector<std::uint64_t> expected = collect_byte(cells, n);
+  for (const Body& body : kBodies) {
+    std::vector<std::uint64_t> out;
+    CHECK(body.fn(cells, n, out, 0) == expected.size());
+    CHECK(out == expected);
+
+    const std::uint64_t base = 1000003;
+    std::vector<std::uint64_t> prefixed = {9, 8, 7};
+    std::vector<std::uint64_t> want = prefixed;
+    for (const auto i : expected) want.push_back(base + i);
+    CHECK(body.fn(cells, n, prefixed, base) == expected.size());
+    CHECK(prefixed == want);
+  }
+}
+
 // Word vs byte on one concrete occupancy pattern.
 void check_parity(const std::vector<la::sync::TasCell>& cells) {
   const auto n = static_cast<std::uint64_t>(cells.size());
   CHECK(count_held(cells.data(), n) == count_held_bytewise(cells.data(), n));
   CHECK(collect_word(cells.data(), n) == collect_byte(cells.data(), n));
+  check_append(cells.data(), n);
   CHECK(find_first_clear(cells.data(), n) ==
         find_first_clear_bytewise(cells.data(), n));
   // Suffix scans exercise every word- and block-phase of the same
@@ -66,6 +114,7 @@ void check_parity(const std::vector<la::sync::TasCell>& cells) {
           collect_byte(cells.data() + start, n - start));
     CHECK(find_first_clear(cells.data() + start, n - start) ==
           find_first_clear_bytewise(cells.data() + start, n - start));
+    check_append(cells.data() + start, n - start);
   }
 }
 
@@ -74,9 +123,17 @@ void check_parity(const std::vector<la::sync::TasCell>& cells) {
 int main() {
   using namespace la;
 
-  // Word- and block-boundary and tail-remainder sizes, plus long ones.
-  const std::uint64_t sizes[] = {1,   7,   8,   9,   63,   64,  65,
-                                 127, 128, 129, 200, 520, 1037, 4099};
+  std::printf("test_slot_scan: append_held bodies:");
+  for (const Body& body : kBodies) std::printf(" %s", body.name);
+  std::printf(" (dispatch runs %s)\n",
+              la::core::slot_scan::append_held_kernel());
+
+  // Word- and block-boundary and tail-remainder sizes, the vector body's
+  // 64-block chunk boundary (4096 slots) from both sides, and two chunks
+  // plus a tail.
+  const std::uint64_t sizes[] = {1,    7,    8,    9,    63,   64,
+                                 65,   127,  128,  129,  200,  520,
+                                 1037, 4095, 4096, 4097, 4099, 64 * 64 * 2 + 7};
 
   // --- deterministic edge patterns -----------------------------------
   for (const auto n : sizes) {
