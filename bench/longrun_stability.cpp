@@ -11,7 +11,6 @@
 // stability over time — not just the final number — is visible.
 #include <iostream>
 
-#include "api/registry.hpp"
 #include "bench_util/algos.hpp"
 #include "bench_util/options.hpp"
 #include "stats/table.hpp"
@@ -64,44 +63,37 @@ int main(int argc, char** argv) {
 
   // Run in checkpoint-sized chunks against one persistent structure, so
   // the "worst so far" column genuinely accumulates over the whole
-  // execution — run_churn is generic over the Renamer contract, so the
-  // persistent structure can be anything in the registry.
-  api::RenamerConfig rc;
-  rc.capacity = mult * threads;
+  // execution; chunk c is seeded seed + c (fresh probe streams). Any
+  // registered structure can be the persistent one.
+  bench::SweepPoint point;
+  point.driver.threads = threads;
+  point.driver.emulation_multiplier = mult;
+  point.driver.prefill = prefill;
+  point.driver.ops_per_thread = std::max<std::uint64_t>(
+      std::max<std::uint64_t>(total_ops / checkpoints, 2) / threads, 2);
+  point.driver.seed = seed;
+  point.driver.rng_kind = rng_kind;
 
-  stats::TrialStats cumulative;
-  std::uint64_t ops_done = 0;
-  std::uint64_t backup_total = 0;
-  const std::uint64_t ops_per_checkpoint =
-      std::max<std::uint64_t>(total_ops / checkpoints, 2);
-
+  std::vector<bench::RunResult> chunks;
   try {
-    api::visit(structure, rc, [&](auto& array) {
-      for (std::uint64_t cp = 0; cp < checkpoints; ++cp) {
-        bench::DriverConfig driver;
-        driver.threads = threads;
-        driver.emulation_multiplier = mult;
-        driver.prefill = prefill;
-        driver.ops_per_thread =
-            std::max<std::uint64_t>(ops_per_checkpoint / threads, 2);
-        driver.seconds = 0;
-        driver.seed = seed + cp;  // fresh probe streams each chunk
-        driver.rng_kind = rng_kind;
-        const auto result = bench::run_churn(array, driver);
-        cumulative.merge(result.trials);
-        ops_done += result.total_ops;
-        backup_total += result.backup_gets;
-        table.add_row({ops_done, cumulative.average(), cumulative.stddev(),
-                       cumulative.worst_case(), cumulative.p999(),
-                       backup_total});
-      }
-      return 0;
-    });
+    chunks = bench::run_algo_chunks(structure, point, checkpoints);
   } catch (const std::invalid_argument& e) {
     // A structure may refuse the configuration (e.g. the splitter's
     // quadratic-memory cap); fail with the reason, not a std::terminate.
     std::cerr << "longrun_stability: " << e.what() << "\n";
     return 1;
+  }
+
+  stats::TrialStats cumulative;
+  std::uint64_t ops_done = 0;
+  std::uint64_t backup_total = 0;
+  for (const auto& result : chunks) {
+    cumulative.merge(result.trials);
+    ops_done += result.total_ops;
+    backup_total += result.backup_gets;
+    table.add_row({ops_done, cumulative.average(), cumulative.stddev(),
+                   cumulative.worst_case(), cumulative.p999(),
+                   backup_total});
   }
 
   if (csv) {

@@ -13,13 +13,13 @@
 // (registered_structures, accepted-name lists, error messages) is
 // generated from the same tuple, so it cannot drift.
 //
-// The registry holds 11 entries: the seven flat structures (the paper's
-// comparison set and its ablations), three `sharded:<name>` entries and
+// The registry holds 10 entries: the seven flat structures (the paper's
+// comparison set and its ablations), two `sharded:<name>` entries and
 // one `svc:sharded:level`. Every visit() site compiles its callable once
 // per entry, so the layered entries are only the combinations whose code
 // paths differ: ShardedEntry<Base> wraps a flat entry as ShardedRenamer
 // over S instances of it (each holding ceil(capacity / S) of the
-// contention bound), and the three kept bases span the ways the sharded
+// contention bound), and the two kept bases span the ways the sharded
 // layer behaves across inners (see the static_asserts under Entries).
 // Other combinations still compose by hand; they just have no name here.
 #pragma once
@@ -250,18 +250,16 @@ using Entries =
                ShardedEntry<LevelEntry>,
                // api fallback batch loop + adopt_held; the migration target
                ShardedEntry<LinearEntry>,
-               // no adoption path: the layer is save-only under SFINAE
-               ShardedEntry<SplitterEntry>,
                // the daemon wire protocol over sharded:level
                SvcEntry>;
 
-// The kept sharded bases span the three inner kinds ShardedRenamer
-// treats differently; dropping one leaves a layer path with no entry.
+// The kept sharded bases span the two inner kinds ShardedRenamer
+// treats differently (native batch ops or the api fallback loop), both
+// adoptable; dropping one leaves a layer path with no entry.
 static_assert(has_batch_ops_v<LevelEntry::Structure> &&
               has_adopt_held_v<LevelEntry::Structure>);
 static_assert(!has_batch_ops_v<LinearEntry::Structure> &&
               has_adopt_held_v<LinearEntry::Structure>);
-static_assert(!has_adopt_held_v<SplitterEntry::Structure>);
 
 inline constexpr std::size_t kEntryCount = std::tuple_size_v<Entries>;
 
@@ -275,7 +273,6 @@ static_assert(is_renamer_v<arrays::IdIndexedArray>);
 static_assert(is_renamer_v<SplitterRenamer>);
 static_assert(is_renamer_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(is_renamer_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
-static_assert(is_renamer_v<scale::ShardedRenamer<SplitterRenamer>>);
 // The batch surface is the LevelArray's alone: per-shard batches are not
 // the paper's Fig. 3 object, and the harnesses would otherwise compute
 // nonsense balance metrics on the sharded wrapper.
@@ -288,7 +285,6 @@ static_assert(has_batch_ops_v<core::LevelArray>);
 static_assert(has_batch_ops_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(
     has_batch_ops_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
-static_assert(has_batch_ops_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(!has_batch_ops_v<arrays::RandomArray>);  // fallback-served
 // free_batch stays on the LevelArray alone, so test_sharded's
 // batch-fallback check still drives the api per-name loop.
@@ -305,12 +301,11 @@ static_assert(
 static_assert(
     !has_batch_surface_v<
         svc::ServiceRenamer<scale::ShardedRenamer<core::LevelArray>>>);
-// Checkpoint/restore (src/api/snapshot.hpp): the core, every flat array,
-// and the sharded wrapper over adoptable inners can save *and* restore.
+// Checkpoint/restore (src/api/snapshot.hpp): the core, every flat array
+// but the splitter, and both sharded entries can save *and* restore.
 // SplitterRenamer has no adoption path (a fresh grid walk would re-issue
-// adopted cells), so it — and sharded:splitter, via the SFINAE gate on
-// ShardedRenamer::adopt_held — is save-only; svc clients snapshot on
-// the server side, not over the wire.
+// adopted cells), so it is save-only; svc clients snapshot on the server
+// side, not over the wire.
 static_assert(has_snapshot_v<core::LevelArray>);
 static_assert(has_snapshot_v<arrays::RandomArray>);
 static_assert(has_snapshot_v<arrays::LinearProbingArray>);
@@ -320,7 +315,6 @@ static_assert(has_snapshot_v<arrays::IdIndexedArray>);
 static_assert(has_snapshot_v<scale::ShardedRenamer<core::LevelArray>>);
 static_assert(has_snapshot_v<scale::ShardedRenamer<arrays::LinearProbingArray>>);
 static_assert(!has_snapshot_v<SplitterRenamer>);
-static_assert(!has_snapshot_v<scale::ShardedRenamer<SplitterRenamer>>);
 static_assert(
     !has_snapshot_v<
         svc::ServiceRenamer<scale::ShardedRenamer<core::LevelArray>>>);

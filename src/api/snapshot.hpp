@@ -21,9 +21,9 @@
 //   has_snapshot_v<T>    full Renamer + adoption: save *and* restore
 //                        apply. SplitterRenamer has no adoption path
 //                        (a fresh grid walk would re-issue adopted
-//                        cells), so it and sharded:splitter are
-//                        non-restorable by construction; svc clients
-//                        snapshot on the server side.
+//                        cells), so it is non-restorable by
+//                        construction; svc clients snapshot on the
+//                        server side.
 #pragma once
 
 #include <algorithm>

@@ -44,10 +44,22 @@ api::RenamerConfig renamer_config(const SweepPoint& point) {
   return config;
 }
 
-RunResult run_algo(const std::string& name_or_alias, const SweepPoint& point) {
+std::vector<RunResult> run_algo_chunks(const std::string& name_or_alias,
+                                       const SweepPoint& point,
+                                       std::uint64_t chunks) {
   return api::visit(name_or_alias, renamer_config(point), [&](auto& array) {
-    return detail::drive_with_rng(array, point.driver);
+    std::vector<RunResult> results;
+    DriverConfig driver = point.driver;
+    for (std::uint64_t c = 0; c < chunks; ++c) {
+      driver.seed = point.driver.seed + c;
+      results.push_back(detail::drive_with_rng(array, driver));
+    }
+    return results;
   });
+}
+
+RunResult run_algo(const std::string& name_or_alias, const SweepPoint& point) {
+  return run_algo_chunks(name_or_alias, point, 1).front();
 }
 
 }  // namespace la::bench

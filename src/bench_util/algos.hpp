@@ -104,7 +104,13 @@ std::vector<std::string> expand_algos(const std::vector<std::string>& names);
 api::RenamerConfig renamer_config(const SweepPoint& point);
 
 // Build the structure registered under `name_or_alias` from `point` and
-// run the churn workload under point.driver.rng_kind.
+// run the churn workload under point.driver.rng_kind once per chunk on
+// it, chunk c seeded point.driver.seed + c (fresh threads and probe
+// streams, one persistent structure). One result per chunk; run_algo is
+// the one-chunk case.
+std::vector<RunResult> run_algo_chunks(const std::string& name_or_alias,
+                                       const SweepPoint& point,
+                                       std::uint64_t chunks);
 RunResult run_algo(const std::string& name_or_alias, const SweepPoint& point);
 
 namespace detail {
@@ -248,10 +254,9 @@ RunResult drive_with_rng(Array& array, const DriverConfig& d) {
 
 }  // namespace detail
 
-// Same workload against a caller-owned persistent structure (longrun
-// accumulates worst-case stats across chunks this way), honoring
-// driver.rng_kind. Generic over the Renamer contract — any registered
-// structure (not just the LevelArray) churns under the same driver.
+// Same workload against a caller-owned structure, honoring
+// driver.rng_kind. Generic over the Renamer contract, for callers that
+// build the structure themselves (tests that inspect it between runs).
 template <typename Structure>
 RunResult run_churn(Structure& array, const DriverConfig& driver) {
   static_assert(api::is_renamer_v<Structure>,

@@ -73,9 +73,6 @@ class AnyRenamer {
   }
   std::uint64_t capacity() const { return impl_->capacity(); }
   std::uint64_t total_slots() const { return impl_->total_slots(); }
-  // Throws std::logic_error when the erased structure has no adoption
-  // path (e.g. splitter-backed impls) — has_adopt_held_v is necessarily
-  // static, so the erased surface reports the gap at restore time.
   void adopt_held(std::uint64_t name) { impl_->adopt_held(name); }
 
  private:
@@ -111,22 +108,17 @@ class AnyRenamer {
     }
     std::uint64_t capacity() const override { return inner->capacity(); }
     std::uint64_t total_slots() const override { return inner->total_slots(); }
-    void adopt_held(std::uint64_t name) override {
-      if constexpr (api::has_adopt_held_v<T>) {
-        inner->adopt_held(name);
-      } else {
-        (void)name;
-        throw std::logic_error(
-            "ckpt::AnyRenamer: the erased structure has no adoption path");
-      }
-    }
+    void adopt_held(std::uint64_t name) override { inner->adopt_held(name); }
     std::unique_ptr<T> inner;
   };
 
   template <typename T>
   static std::unique_ptr<Concept> wrap(std::unique_ptr<T> impl) {
-    static_assert(api::is_renamer_v<T>,
-                  "ckpt::AnyRenamer erases the api::Renamer contract");
+    // Only restorable impls: migration restores into whatever replace()
+    // installs, so a save-only structure has no place behind the seam.
+    static_assert(api::has_snapshot_v<T>,
+                  "ckpt::AnyRenamer erases the api::Renamer contract with "
+                  "checkpoint adoption (has_snapshot_v)");
     if (impl == nullptr) {
       throw std::invalid_argument("ckpt::AnyRenamer: null implementation");
     }

@@ -380,12 +380,10 @@ class ShardedRenamer {
   // the shard's gate (length_error past the bound — the image does not
   // fit this configuration), marks the logical held bit (logic_error on
   // a duplicate), and adopts the local slot inside the inner structure,
-  // unwinding both on an inner throw. Available only when the Inner can
-  // adopt (SFINAE on Inner::adopt_held — SplitterRenamer cannot, so
-  // sharded:splitter is non-restorable by construction).
-  template <typename I = Inner>
-  auto adopt_held(std::uint64_t name) -> std::void_t<
-      decltype(std::declval<I&>().adopt_held(std::uint64_t{}))> {
+  // unwinding both on an inner throw. Like any class-template member it
+  // is compiled only where something calls it, so an Inner without
+  // adopt_held (the verify cells' MiniInner) still builds the layer.
+  void adopt_held(std::uint64_t name) {
     if (!routes(name)) {
       throw std::out_of_range(
           "ShardedRenamer::adopt_held: name does not route to any shard "
@@ -794,7 +792,7 @@ class ShardedRenamer {
 
   // Thread-exit hook: flush the exiting thread's bins and recycle its
   // slot for the next thread (long-lived structures see generations of
-  // short-lived threads — see run_churn's chunked callers).
+  // short-lived threads — see run_algo_chunks).
   static void flush_thunk(void* owner, std::uint32_t slot) {
     auto* self = static_cast<ShardedRenamer*>(owner);
     detail::CacheSlot& cache = *self->caches_[slot];

@@ -5,13 +5,13 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "api/renamer.hpp"
 #include "bench_util/timing.hpp"
 #include "bench_util/workload.hpp"
+#include "rng/rng.hpp"
 #include "sim/metrics.hpp"
 #include "sync/cache.hpp"
 #include "sync/futex.hpp"
@@ -20,6 +20,9 @@
 
 namespace la::stress {
 namespace {
+
+// The one probe generator (the §6 RNG ablation is churn_sweep --rng).
+using Rng = rng::MarsagliaXorshift;
 
 // Deep batches smaller than this are noise-dominated (mirrors the
 // Definition 2 calibration in sim/metrics).
@@ -86,7 +89,7 @@ constexpr std::uint64_t kRefused = ~std::uint64_t{0};
 // acquired nothing, so nothing is logged and kRefused comes back, but it
 // still spends budget — ops mode must terminate even if every remaining
 // Get times out.
-template <typename Array, typename Rng>
+template <typename Array>
 std::uint64_t logged_get(Array& array, Rng& rng, EpochClock& clock,
                          ThreadState& st, std::uint32_t tid,
                          std::uint64_t deadline_ns = 0) {
@@ -150,7 +153,7 @@ class Budget {
 // only differs in how high target sits (just under the contention bound,
 // or above it when a deadline makes refusals survivable). `deadline_ns`
 // is the per-Get budget (0 = untimed).
-template <typename Array, typename Rng>
+template <typename Array>
 void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
                       ThreadState& st, std::uint32_t tid,
                       std::uint64_t target, Budget& budget,
@@ -177,7 +180,7 @@ void run_churn_worker(Array& array, Rng& rng, EpochClock& clock,
 // thread 0 in timed mode. A poisoned barrier (a worker died) falls
 // through immediately; the stop check after the rendezvous then ends the
 // round loop, and each thread frees whatever it acquired this round.
-template <typename Array, typename Rng>
+template <typename Array>
 void run_burst_worker(Array& array, Rng& rng, EpochClock& clock,
                       ThreadState& st, std::uint32_t tid, std::uint64_t holds,
                       std::uint64_t rounds, sync::SpinBarrier& barrier,
@@ -202,7 +205,7 @@ void run_burst_worker(Array& array, Rng& rng, EpochClock& clock,
 // zipf: names age out on Zipf-skewed hold times — most are freed almost
 // immediately, a heavy tail pins slots ~10x the mean, so old and fresh
 // names stay interleaved across the slots.
-template <typename Array, typename Rng>
+template <typename Array>
 void run_zipf_worker(Array& array, Rng& rng, EpochClock& clock,
                      ThreadState& st, std::uint32_t tid, std::uint64_t target,
                      Budget& budget) {
@@ -239,7 +242,7 @@ void run_zipf_worker(Array& array, Rng& rng, EpochClock& clock,
 // threshold is below what the predecessors' completed budgets alone
 // produce, so the wait terminates; `stop` (a worker died) bails it out
 // of a wait that can no longer be satisfied.
-template <typename Array, typename Rng>
+template <typename Array>
 void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
                           ThreadState& st, std::uint32_t tid,
                           std::uint64_t target, Budget& budget,
@@ -277,7 +280,7 @@ void run_joinleave_worker(Array& array, Rng& rng, EpochClock& clock,
 // deep batch to end below kMaxDeepBatchFill. Runs single-threaded
 // on the reaper id; everything is logged, so the checker covers this
 // phase too. Returns the phase's peak concurrent holds.
-template <typename Array, typename Rng>
+template <typename Array>
 std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
                                  ThreadState& reaper, std::uint32_t reaper_tid,
                                  std::vector<std::uint64_t>& pool,
@@ -341,7 +344,7 @@ std::uint64_t run_healing_window(Array& array, Rng& rng, EpochClock& clock,
 
 // --- the driver ---------------------------------------------------------
 
-template <typename Array, typename Rng>
+template <typename Array>
 StressReport drive(Array& array, const StressConfig& cfg) {
   const std::uint32_t threads = cfg.threads == 0 ? 1 : cfg.threads;
   const std::uint64_t n = cfg.effective_capacity();
@@ -466,7 +469,7 @@ StressReport drive(Array& array, const StressConfig& cfg) {
   Rng reaper_rng(rng::mix_seed(cfg.seed, 0x4EA9E4ull));
   if constexpr (api::has_batch_surface_v<Array>) {
     if (driver_errors.empty()) {
-      heal_peak = run_healing_window<Array, Rng>(
+      heal_peak = run_healing_window(
           array, reaper_rng, clock, reaper, reaper_tid, pool, cfg, report);
     }
   }
@@ -523,10 +526,7 @@ StressReport run_stress(const StressConfig& cfg) {
   api::RenamerConfig rc;
   rc.capacity = cfg.effective_capacity();
   return api::visit(cfg.structure, rc, [&](auto& array) {
-    return api::with_rng(cfg.rng_kind, [&](auto tag) {
-      using Rng = typename decltype(tag)::type;
-      return drive<std::decay_t<decltype(array)>, Rng>(array, cfg);
-    });
+    return drive(array, cfg);
   });
 }
 

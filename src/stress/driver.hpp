@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "rng/rng.hpp"
 #include "stats/summary.hpp"
 #include "stress/invariants.hpp"
 #include "stress/scenario.hpp"
@@ -33,8 +32,7 @@ struct StressConfig {
   double seconds = 0.0;  // window for timed mode
   // Contention bound n for the structure; 0 derives max(256, 32*threads).
   std::uint64_t capacity = 0;
-  std::uint64_t seed = 42;
-  rng::RngKind rng_kind = rng::RngKind::kMarsaglia;
+  std::uint64_t seed = 42;  // seeds every thread's MarsagliaXorshift
   // Healing-window churn iterations (batch-occupancy structures only);
   // 0 derives 4 * capacity. Negative scenarios aside, the window always
   // churns at half the contention bound, mirroring fig3_healing.

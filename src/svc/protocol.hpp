@@ -24,7 +24,8 @@
 //            library-wide deadline clock — monotonic time is system-wide
 //            on Linux, so an instant stamped by the client is meaningful
 //            to the server) bounds the park: a pending request whose
-//            deadline passes is answered kTimedOut with count 0.
+//            deadline passes is answered kTimedOut with count 0; a GetK
+//            for 0 names is answered kOk with none, in the same pass.
 //   kFreeK   free names[0..count). Processed in order; on the first bad
 //            name the server stops and reports the index and class, with
 //            the earlier names already freed (the api batch contract).

@@ -487,14 +487,20 @@ class Server {
     respond_status(r, Status::kTimedOut);
   }
 
-  // Answer every pending GetK whose deadline has passed with kTimedOut.
+  // Answer every pending GetK whose deadline has passed with kTimedOut,
+  // and every GetK for zero names (no retry grants it more) with kOk.
   // Runs after retry_pending so a request whose capacity arrived in the
   // same iteration is granted, not expired.
   void expire_pending(std::vector<Pending>& pending) {
     if (pending.empty()) return;
     const std::uint64_t now = sync::FutexWord::monotonic_now_ns();
     for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i].deadline_ns != 0 && now >= pending[i].deadline_ns) {
+      if (pending[i].want == 0) {
+        respond_status(pending[i].ring, Status::kOk);
+        pending[i] = pending.back();
+        pending.pop_back();
+      } else if (pending[i].deadline_ns != 0 &&
+                 now >= pending[i].deadline_ns) {
         expire(pending[i].ring);
         pending[i] = pending.back();
         pending.pop_back();

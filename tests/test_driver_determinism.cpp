@@ -62,7 +62,7 @@ int main() {
   // all cache hits (probes == 1), so two seeds can legitimately
   // coincide. Same-seed bit-identity must still hold for all of them —
   // including the scale layer's claim-order and park/pop plumbing over
-  // each registered inner kind (level, linear, splitter).
+  // each registered inner kind (level, linear).
   std::vector<std::string> deterministic = {"seq", "splitter"};
   for (const auto& name : api::registered_names()) {
     if (name.rfind("sharded:", 0) == 0) deterministic.push_back(name);
@@ -120,6 +120,26 @@ int main() {
     const auto c = run_once(8);
     CHECK(same_trials(a, b));
     CHECK(!same_trials(a, c));
+  }
+
+  // run_algo_chunks (longrun_stability's entry): its chunks are
+  // run_churn calls on one persistent structure seeded s, s + 1, s + 2,
+  // trial for trial.
+  {
+    current = "run_algo_chunks";
+    const bench::SweepPoint point = point_for(11, rng::RngKind::kMarsaglia);
+    const auto chunks = bench::run_algo_chunks("level", point, 3);
+    CHECK(chunks.size() == 3);
+    core::LevelArrayConfig config;
+    config.capacity = point.driver.emulated_registrants();
+    config.size_multiplier = point.size_factor;
+    core::LevelArray array(config);
+    for (std::uint64_t c = 0; c < chunks.size(); ++c) {
+      bench::DriverConfig driver = point.driver;
+      driver.seed = point.driver.seed + c;
+      CHECK(same_trials(chunks[c], bench::run_churn(array, driver)));
+    }
+    if (chunks.size() == 3) CHECK(!same_trials(chunks[0], chunks[1]));
   }
 
   if (failures != 0) {

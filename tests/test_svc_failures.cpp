@@ -23,7 +23,9 @@
 //     (upstream corruption) is released and the walk goes on past it.
 //     Driven over a raw ring so every request can carry any pid and the
 //     whole response (status, error_index, released count) is visible;
-//     svc::Client folds it into an exception.
+//     svc::Client folds it into an exception. On the same ring, a GetK
+//     for zero names is answered at once (kOk, none) instead of waiting
+//     on the pending list until shutdown.
 //
 //   * Worker death and request_sweep — a structure that throws inside
 //     the worker kills it (error() set, segment shut down); a later
@@ -467,6 +469,15 @@ void test_free_wire_errors(la::svc::SegmentView seg) {
   la::rng::MarsagliaXorshift rng(29);
   untracked.push_back(structure.get(rng).name);
   run("untracked_held", untracked[0], 4, la::svc::Status::kOk, false);
+
+  // A GetK for zero names is answered at once, kOk and empty; it must
+  // not wait on the pending list, where every retry grants 0 again.
+  current = "zero_count_get";
+  const RawPort::Reply zero =
+      port.exchange(kPidA, la::svc::Op::kGetK, nullptr, 0);
+  CHECK(zero.status == la::svc::Status::kOk);
+  CHECK(zero.count == 0);
+  CHECK(zero.names.empty());
 
   current = "free_wire_errors";
   CHECK(server.error().empty());
