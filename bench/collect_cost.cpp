@@ -6,11 +6,13 @@
 // the per-slot scan cost, confirming the linear shape.
 //
 // --scan ablates the scan engine itself: `word` is the production
-// engine (core/slot_scan.hpp; its append_held runs the AVX-512 body where
-// the CPU has it, the 8-slots-per-load word body elsewhere), `byte` the
+// engine (core/slot_scan.hpp; it runs the AVX-512 body where the CPU has
+// it, the 8-slots-per-load word body elsewhere), `byte` the
 // one-atomic-load-per-slot reference it replaced — so the engine's win is
 // measured here, not asserted in a comment. Each run's config records the
-// body that ran as "kernel": avx512, words or bytes.
+// body that ran as "kernel": avx512, words or bytes. The bitmap layout
+// always collects with the production engine (the same body, fed packed
+// words), so with --scan=word its runs name the byte runs' kernel.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -190,11 +192,15 @@ int main(int argc, char** argv) {
                                   .set("registered", target)
                                   .set("load", load)
                                   .set("reps", reps)
+                                  .set("kernel",
+                                       core::slot_scan::append_held_kernel())
                                   .set("seed", seed))
         .set("ops_per_sec",
              bit_us.mean() > 0.0 ? 1e6 / bit_us.mean() : 0.0)
         .set("collect_us_mean", bit_us.mean())
-        .set("byte_collect_us_mean", byte_us.mean());
+        .set("byte_collect_us_mean", byte_us.mean())
+        .set("bitmap_speedup_x",
+             bit_us.mean() > 0.0 ? byte_us.mean() / bit_us.mean() : 0.0);
     for (const auto name : byte_names) bytes.free(name);
     for (const auto name : bit_names) bits.free(name);
   }

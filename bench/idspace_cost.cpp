@@ -8,10 +8,10 @@
 #include <iostream>
 #include <vector>
 
-#include "arrays/id_array.hpp"
 #include "bench_util/options.hpp"
 #include "bench_util/timing.hpp"
 #include "core/level_array.hpp"
+#include "core/slot_table.hpp"
 #include "rng/rng.hpp"
 #include "stats/table.hpp"
 #include "stats/welford.hpp"
@@ -77,13 +77,18 @@ int main(int argc, char** argv) {
       std::cerr << "skipping id space " << id_space << " < contention\n";
       continue;
     }
-    arrays::IdIndexedArray ids(id_space);
+    // The strawman itself: one slot per id, a thread's name is its id.
+    core::SlotTable ids(id_space, id_space);
     // Register `contention` threads at ids spread across the space (the
     // worst realistic case: ids are sparse).
     std::vector<std::uint64_t> names;
     const std::uint64_t stride = id_space / contention;
     for (std::uint64_t i = 0; i < contention; ++i) {
-      names.push_back(ids.get_by_id(i * stride).name);
+      if (!ids.claim(i * stride)) {
+        std::cerr << "id " << i * stride << " already registered\n";
+        return 1;
+      }
+      names.push_back(i * stride);
     }
     stats::Welford id_us;
     for (std::uint64_t rep = 0; rep < reps; ++rep) {

@@ -3,11 +3,13 @@
 // registered structure (registry-dispatched, so new entries are covered
 // automatically), the sharded hot paths (cache park/pop, steal-drain,
 // the svc worker's two-client batch cycle), Collect at varying sizes up
-// to perfbench's shape, each append_held body on that shape, and the raw
+// to perfbench's shape, each collect body on that shape for both mask
+// sources (byte slots and packed bits), and the raw
 // substrate costs (TAS, RNG draw) that bound them.
 // Complements the figure benches with per-operation nanosecond numbers.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -291,27 +293,56 @@ BENCHMARK(BM_Collect)
     ->Arg(3 << 20)
     ->Unit(benchmark::kMicrosecond);
 
-// One row per append_held body on the same shape: 2 * 3 * 2^20 slots, a
-// random 25% of them held. `bytes` is the per-byte reference loop.
-using AppendBody = std::size_t (*)(const sync::TasCell*, std::uint64_t,
-                                   std::vector<std::uint64_t>&,
-                                   std::uint64_t);
+// One row per collect body on the same shape: 2 * 3 * 2^20 slots, a
+// random 25% of them held, read as one-byte cells (`bytes`, the per-byte
+// reference loop; `words`; `avx512`) or as the same occupancy packed one
+// bit per slot (`bits_words`, `bits_avx512`).
+using AppendBody = std::size_t (*)(const sync::TasCell*,
+                                   const std::atomic<std::uint64_t>*,
+                                   std::uint64_t, std::vector<std::uint64_t>&);
 
-std::size_t append_held_bytes(const sync::TasCell* cells, std::uint64_t n,
-                              std::vector<std::uint64_t>& out,
-                              std::uint64_t base) {
+std::size_t append_bytes(const sync::TasCell* cells,
+                         const std::atomic<std::uint64_t>*, std::uint64_t n,
+                         std::vector<std::uint64_t>& out) {
   const std::size_t before = out.size();
   core::slot_scan::for_each_held_bytewise(
-      cells, n, [&](std::uint64_t i) { out.push_back(base + i); });
+      cells, n, [&](std::uint64_t i) { out.push_back(i); });
   return out.size() - before;
 }
 
-AppendBody avx512_body() {
+std::size_t append_words(const sync::TasCell* cells,
+                         const std::atomic<std::uint64_t>*, std::uint64_t n,
+                         std::vector<std::uint64_t>& out) {
+  return core::slot_scan::append_words(core::slot_scan::HeldBytes{cells, n},
+                                       out);
+}
+
+std::size_t append_bits_words(const sync::TasCell*,
+                              const std::atomic<std::uint64_t>* words,
+                              std::uint64_t n,
+                              std::vector<std::uint64_t>& out) {
+  return core::slot_scan::append_words(
+      core::slot_scan::HeldBits{words, n / 64}, out);
+}
+
+AppendBody avx512_body(bool bits) {
 #if defined(LA_SLOT_SCAN_AVX512)
   if (core::slot_scan::avx512_supported()) {
-    return &core::slot_scan::append_held_avx512;
+    if (bits) {
+      return [](const sync::TasCell*, const std::atomic<std::uint64_t>* words,
+                std::uint64_t n, std::vector<std::uint64_t>& out) {
+        return core::slot_scan::append_avx512(
+            core::slot_scan::HeldBits{words, n / 64}, out);
+      };
+    }
+    return [](const sync::TasCell* cells, const std::atomic<std::uint64_t>*,
+              std::uint64_t n, std::vector<std::uint64_t>& out) {
+      return core::slot_scan::append_avx512(
+          core::slot_scan::HeldBytes{cells, n}, out);
+    };
   }
 #endif
+  (void)bits;
   return nullptr;
 }
 
@@ -322,27 +353,34 @@ void BM_AppendHeld(benchmark::State& state, AppendBody body) {
   }
   const std::uint64_t slots = 2 * (std::uint64_t{3} << 20);
   std::vector<sync::TasCell> cells(slots);
+  std::vector<std::atomic<std::uint64_t>> words(slots / 64);
   rng::MarsagliaXorshift rng(5);
-  for (auto& cell : cells) {
-    if (rng::bounded(rng, 4) == 0) cell.try_acquire();
+  for (std::uint64_t i = 0; i < slots; ++i) {
+    if (rng::bounded(rng, 4) == 0) {
+      cells[i].try_acquire();
+      words[i / 64].fetch_or(std::uint64_t{1} << (i % 64));
+    }
   }
   std::vector<std::uint64_t> out;
   out.reserve(slots);
   for (auto _ : state) {
     out.clear();
-    benchmark::DoNotOptimize(body(cells.data(), slots, out, 0));
+    benchmark::DoNotOptimize(body(cells.data(), words.data(), slots, out));
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(slots));
 }
-BENCHMARK_CAPTURE(BM_AppendHeld, bytes, &append_held_bytes)
+BENCHMARK_CAPTURE(BM_AppendHeld, bytes, &append_bytes)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_AppendHeld, words,
-                  &core::slot_scan::append_held_words)
+BENCHMARK_CAPTURE(BM_AppendHeld, words, &append_words)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_AppendHeld, avx512, avx512_body())
+BENCHMARK_CAPTURE(BM_AppendHeld, avx512, avx512_body(false))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AppendHeld, bits_words, &append_bits_words)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AppendHeld, bits_avx512, avx512_body(true))
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -81,6 +81,11 @@ FUNC_RE = re.compile(
     r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)"
 )
 
+# A constructor's member-initializer line (`: config_(x), id_(y) {`, or a
+# `,`-led continuation of one) calls members; it does not name a function,
+# so it must not replace the constructor header seen just above it.
+INIT_LIST_RE = re.compile(r"^\s*(?::(?!:)|,)")
+
 Site = collections.namedtuple("Site", "file symbol op order line")
 
 
@@ -105,7 +110,7 @@ def enclosing_symbols(lines):
     pending = None  # candidate seen, waiting for its opening brace
     for line in lines:
         code = line.split("//", 1)[0]
-        m = FUNC_RE.match(code)
+        m = None if INIT_LIST_RE.match(code) else FUNC_RE.match(code)
         if m and brace_depth <= 2:  # file scope or inside a class body
             name = m.group(1) or m.group(2)
             if name and name not in ("if", "for", "while", "switch", "return",
@@ -297,9 +302,22 @@ def self_test():
     assert [(s.op, s.order) for s in fences] == [
         ("signal_fence", "seq_cst"), ("fence", "seq_cst")], fences
 
+    ctor = extract_file(fake, (
+        "class Owner {\n"
+        " public:\n"
+        "  template <typename Factory>\n"
+        "  Owner(const Config& config, Factory&& make)\n"
+        "      : config_(sanitized(config)), id_(next_id()) {\n"
+        "    flag_.store(true, std::memory_order_release);\n"
+        "  }\n"
+        "};\n"))
+    assert [(s.symbol, s.op, s.order) for s in ctor] == [
+        ("Owner", "store", "release")], ctor
+
     print("self-test OK: clean tree passes, acquire->relaxed downgrade "
           "fails, ignore marker suppresses, compiler and CPU fences are "
-          "distinct ops")
+          "distinct ops, member-initializer lines keep the constructor "
+          "as the symbol")
 
 
 def main():

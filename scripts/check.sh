@@ -126,17 +126,22 @@ run_asan() {
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build build-asan -j "${JOBS}"
   (cd build-asan && ctest --output-on-failure)
-  # test_slot_scan calls the AVX-512 append_held body directly, slack
-  # stores included, wherever the CPU has AVX-512F/BW. On such a host the
-  # body must have run under ASan, not been skipped.
+  # test_slot_scan calls the AVX-512 collect body directly, slack stores
+  # and the byte source's masked tail load included, for both mask
+  # sources wherever the CPU has AVX-512F/BW. On such a host the body
+  # must have run under ASan for bytes and for bits, not been skipped.
   if grep -qw avx512bw /proc/cpuinfo 2>/dev/null; then
     local bodies
     bodies="$(./build-asan/test_slot_scan)"
     echo "${bodies}"
-    grep -q 'bodies: words avx512' <<< "${bodies}" || {
-      echo "check.sh asan: AVX-512 host, but the avx512 body did not run" >&2
-      exit 1
-    }
+    local domain
+    for domain in 'append_held' 'bit-domain'; do
+      grep -q "${domain} bodies: words avx512" <<< "${bodies}" || {
+        echo "check.sh asan: AVX-512 host, but the ${domain} avx512 body" \
+          "did not run" >&2
+        exit 1
+      }
+    done
   fi
 }
 
@@ -163,7 +168,7 @@ run_tsan() {
   ./build-tsan/test_deadlines
   ./build-tsan/test_renamer_contract
   # Scan-engine parity through load_word's per-byte TSan fallback; the
-  # TSan build compiles the vector append_held body out.
+  # TSan build compiles the vector collect body out.
   local bodies
   bodies="$(./build-tsan/test_slot_scan)"
   echo "${bodies}"

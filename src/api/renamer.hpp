@@ -76,7 +76,7 @@ struct RenamerConfig {
     return core::scaled_slots(size_factor, capacity);
   }
 
-  // IdIndexedArray only: the id space is kIdSpaceFactor * capacity —
+  // The `id` entry only: the id space is kIdSpaceFactor * capacity —
   // deliberately larger than L, which is footnote 1's trade (trivial Get,
   // Theta(N) Collect and memory).
   static constexpr double kIdSpaceFactor = 16.0;

@@ -2,10 +2,10 @@
 // slot (64 slots per 8-byte word) instead of the LevelArray's one byte
 // per slot. Collect scans 8x fewer cache lines; Get pays a CAS-loop on a
 // shared word. Random uniform probing, no batch structure — this isolates
-// the layout variable, not the algorithm, but not the Collect kernel:
-// this one is a ctz loop with one push_back per name, the byte layout's
-// append_held an AVX-512 compress where the CPU has it. So collect_cost's
-// bitmap_speedup_x (0.31-0.32; 0.79-0.98 before that body) measures both.
+// the layout variable, not the algorithm. The Collect kernel is shared
+// too: the slot_scan engine reads each word as its block's held mask
+// (slot_scan::HeldBits) and runs the same body as the byte layout, so
+// collect_cost's bitmap_speedup_x measures the layout alone.
 #pragma once
 
 #include <atomic>
@@ -59,13 +59,8 @@ class BitmapActivityArray {
   }
 
   std::size_t collect(std::vector<std::uint64_t>& out) const {
-    std::size_t found = 0;
-    core::slot_scan::for_each_set_bit(words_.data(), words_.size(),
-                                      [&](std::uint64_t slot) {
-                                        out.push_back(slot);
-                                        ++found;
-                                      });
-    return found;
+    return core::slot_scan::append(
+        core::slot_scan::HeldBits{words_.data(), words_.size()}, out);
   }
 
   std::uint64_t total_slots() const { return total_slots_; }

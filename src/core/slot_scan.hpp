@@ -1,45 +1,47 @@
-// slot_scan — the word-wise scan engine behind every full-array read in
-// this library. The paper's layout argument (§1, §5) is that dense
-// one-byte TAS cells make Collect a sequential cache-friendly scan; the
-// engine cashes that in by reading 8 slots per load instead of one
-// std::atomic<uint8_t> at a time, then finding the held/clear bytes with
-// branch-free SWAR masks. The full-range reads (count_held, for_each_held)
-// fold each 64-slot block — eight word loads — into one 64-bit held
-// bitmap: a multiply gathers each word's eight lane markers into a byte,
-// and the bytes are shifted into place. Counting is then one popcount per
-// 64 slots, and collecting is the ctz / clear-lowest-bit loop over the
-// bitmap, which branches once per held slot plus once per block instead
-// of once per word (the per-word branch mispredicts at any mixed load).
+// slot_scan — the scan engine behind every full-array read in this
+// library. The paper's layout argument (§1, §5) is that dense one-byte
+// TAS cells make Collect a sequential cache-friendly scan; the engine
+// cashes that in by never reading one slot at a time.
 //
-// append_held, the one collect body, dispatches once per call. On x86-64
-// hosts whose CPU has AVX-512F/BW it runs a vector body: one 64-byte load
-// and one byte test give a block's held bitmap, and eight 8-lane
-// compresses turn that bitmap into ascending indices, stored straight
-// into the output. Once the scan is word-wide, extracting the indices is
-// most of a Collect's cost (a 25%-held array spends more time in the ctz
-// loop's per-name push_back than in the loads), and the compress removes
-// that loop. Everywhere else append_held runs the word body. The library
-// is built with no -march flag, so the vector body carries its own target
-// attribute and the CPU is checked at run time; builds that define
+// Collect is one engine built around one decision: how block b (64
+// slots) becomes a 64-bit held mask, bit k set iff slot 64b + k is held.
+// Two mask sources answer it. HeldBytes reads a dense TasCell range:
+// eight word loads with branch-free SWAR masks, folded into the block's
+// bitmap (held_bits), or one 64-byte load and one byte test in the
+// vector body. HeldBits reads a packed bit-per-slot layout
+// (BitmapActivityArray): one relaxed word load, already the mask. Each
+// source feeds the same two bodies:
+//
+//   * append_words, the scalar body: the ctz / clear-lowest-bit loop,
+//     which branches once per held slot plus once per block instead of
+//     once per word (the per-word branch mispredicts at any mixed load);
+//   * append_avx512, on x86-64 CPUs with AVX-512F/BW: chunks of up to 64
+//     blocks, the output grown once per chunk, and eight 8-lane
+//     compresses per block turning its mask into ascending indices stored
+//     straight into the output. Once the scan is word-wide, extracting
+//     the indices is most of a Collect's cost (a 25%-held array spends
+//     more time in the ctz loop's per-name push_back than in the loads),
+//     and the compress removes that loop.
+//
+// append picks the body once per call. The library is built with no
+// -march flag, so the vector body carries its own target attribute and
+// the CPU is checked at run time; builds that define
 // LA_SLOT_SCAN_BYTEWISE_WORDS (TSan, the model checker, big-endian hosts)
-// compile the dispatch out. count_held, for_each_held, find_first_clear
-// and claim_clear are word-engine only.
+// compile it out. count_held reads the same byte mask source;
+// find_first_clear and claim_clear work a word (8 slots) at a time.
 //
-// Snapshot semantics are the same documented racy snapshot as the
-// per-byte relaxed loads these scans replace, in every body: each byte is
-// read exactly once, a concurrent acquire/release may or may not be
-// visible, and no value other than a real cell state can be observed
-// (bytes cannot tear); indices come out ascending. Under ThreadSanitizer
-// the word load is compiled as eight relaxed per-byte atomic loads so
-// instrumentation sees the same access pattern it can reason about; the
-// plain-memory fast paths are for real builds.
+// Snapshot semantics are the same documented racy snapshot as per-slot
+// relaxed loads, in every body: each byte or word is read exactly once,
+// a concurrent acquire/release may or may not be visible, and no value
+// other than a real cell state can be observed (bytes cannot tear);
+// indices come out ascending. Under ThreadSanitizer the word load is
+// compiled as eight relaxed per-byte atomic loads so instrumentation sees
+// the same access pattern it can reason about; the plain-memory fast
+// paths are for real builds.
 //
-// Three primitives over a dense TasCell range (count_held, for_each_held
-// with its append_held collect body, find_first_clear), the multi-claim
-// engine behind the batch Get paths, per-byte reference implementations
-// (the ablation baseline for collect_cost --scan=byte and the oracle for
-// the parity tests), plus the bit-domain sibling the
-// BitmapActivityArray's packed-word layout scans with.
+// Also here: the multi-claim engine behind the batch Get paths, and
+// per-byte reference implementations (the ablation baseline for
+// collect_cost --scan=byte and the oracle for the parity tests).
 #pragma once
 
 #include <algorithm>
@@ -72,8 +74,8 @@
     __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
 #define LA_SLOT_SCAN_BYTEWISE_WORDS 1
 #endif
-// The vector append_held body: x86-64 only, and never where the word load
-// itself is bytewise (that build exists to keep every read instrumented).
+// The vector body: x86-64 only, and never where the word load itself is
+// bytewise (that build exists to keep every read instrumented).
 #if !defined(LA_SLOT_SCAN_BYTEWISE_WORDS) && defined(__x86_64__) && \
     defined(__GNUC__)
 #define LA_SLOT_SCAN_AVX512 1
@@ -167,50 +169,83 @@ inline std::uint64_t find_first_clear_bytewise(const sync::TasCell* cells,
   return n;
 }
 
-// --- word engine --------------------------------------------------------
+// --- mask sources -------------------------------------------------------
 
-inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
-  std::uint64_t count = 0;
-  std::uint64_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    count += static_cast<std::uint64_t>(
-        __builtin_popcountll(detail::held_bits(cells, i)));
-  }
-  for (; i < n; ++i) {
-    if (cells[i].held()) ++count;
-  }
-  return count;
-}
+// A mask source cuts its range into blocks() blocks of 64 slots and reads
+// block b's held mask: mask(b) in the scalar body, vector_mask(b) in the
+// vector one. The last block may be short; its missing slots read clear.
 
-// Calls fn(index) for every held slot, in ascending index order.
-template <typename Fn>
-void for_each_held(const sync::TasCell* cells, std::uint64_t n, Fn&& fn) {
-  std::uint64_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t bits = detail::held_bits(cells, i);
+// The held slots of the dense TasCell range cells[0..n).
+struct HeldBytes {
+  const sync::TasCell* cells;
+  std::uint64_t n;
+
+  std::uint64_t blocks() const { return (n + 63) / 64; }
+
+  std::uint64_t mask(std::uint64_t b) const {
+    const std::uint64_t i = 64 * b;
+    if (n - i >= 64) return detail::held_bits(cells, i);
+    std::uint64_t bits = 0;
+    for (std::uint64_t k = 0; k < n - i; ++k) {
+      bits |= static_cast<std::uint64_t>(cells[i + k].held() ? 1 : 0) << k;
+    }
+    return bits;
+  }
+
+#if defined(LA_SLOT_SCAN_AVX512)
+  // One 64-byte load and one byte test; a short last block loads only
+  // its own bytes (masked-off lanes are not read, so cannot fault).
+  __attribute__((target("avx512f,avx512bw"))) std::uint64_t vector_mask(
+      std::uint64_t b) const {
+    static_assert(sizeof(sync::TasCell) == 1,
+                  "vector scans require dense 1-byte slots");
+    const std::uint64_t i = 64 * b;
+    const __mmask64 live =
+        n - i >= 64 ? ~__mmask64{0} : (__mmask64{1} << (n - i)) - 1;
+    const __m512i v = _mm512_maskz_loadu_epi8(
+        live, reinterpret_cast<const unsigned char*>(cells) + i);
+    return _mm512_test_epi8_mask(v, v);
+  }
+#endif
+};
+
+// The set bits of `count` packed words, one bit per slot. The caller
+// guarantees bits past its logical slot count are never set (the
+// BitmapActivityArray invariant), so every block is whole.
+struct HeldBits {
+  const la::detail::atomic<std::uint64_t>* words;
+  std::uint64_t count;
+
+  std::uint64_t blocks() const { return count; }
+  std::uint64_t mask(std::uint64_t b) const {
+    return words[b].load(std::memory_order_relaxed);
+  }
+  std::uint64_t vector_mask(std::uint64_t b) const { return mask(b); }
+};
+
+// --- the collect engine -------------------------------------------------
+
+// The scalar body: appends base + index for every slot src reports held,
+// ascending, one push_back per slot; returns how many it appended (out's
+// existing contents are kept).
+template <typename Source>
+std::size_t append_words(const Source& src, std::vector<std::uint64_t>& out,
+                         std::uint64_t base = 0) {
+  const std::size_t before = out.size();
+  const std::uint64_t blocks = src.blocks();
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    std::uint64_t bits = src.mask(b);
     while (bits != 0) {
-      fn(i + static_cast<std::uint64_t>(__builtin_ctzll(bits)));
+      out.push_back(base + 64 * b +
+                    static_cast<std::uint64_t>(__builtin_ctzll(bits)));
       bits &= bits - 1;
     }
   }
-  for (; i < n; ++i) {
-    if (cells[i].held()) fn(i);
-  }
-}
-
-// Word body of append_held: the for_each_held bitmap walk, one push_back
-// per held slot. Appends base + index for every held slot, ascending.
-inline std::size_t append_held_words(const sync::TasCell* cells,
-                                     std::uint64_t n,
-                                     std::vector<std::uint64_t>& out,
-                                     std::uint64_t base = 0) {
-  const std::size_t before = out.size();
-  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(base + i); });
   return out.size() - before;
 }
 
 #if defined(LA_SLOT_SCAN_AVX512)
-// Does this CPU run append_held_avx512? Checked once per process;
+// Does this CPU run append_avx512? Checked once per process;
 // __builtin_cpu_init makes the check safe from a static initializer.
 inline bool avx512_supported() {
   static const bool supported = [] {
@@ -222,23 +257,20 @@ inline bool avx512_supported() {
   return supported;
 }
 
-// Vector body of append_held; call only where avx512_supported(). Same
-// output as append_held_words. Works in chunks of up to 64 blocks of 64
-// slots: the first pass reads each block once (one load, one byte test)
-// into a held bitmap and counts the chunk's held slots; then out grows
-// once, by that count plus 8 entries of slack, and the second pass
-// compresses each bitmap byte's lanes out of an 8-lane index vector and
+// The vector body; call only where avx512_supported(). Same output as
+// append_words. Works in chunks of up to 64 blocks: the first pass reads
+// each block's mask once and counts the chunk's held slots; then out
+// grows once, by that count plus 8 entries of slack, and the second pass
+// compresses each mask byte's lanes out of an 8-lane index vector and
 // stores all 8 lanes unaligned at the running end — the slack absorbs
 // the lanes past it, and the final resize trims it. Each group's store
-// offset is a popcount of the bitmap's lower bits, so the eight stores of
+// offset is a popcount of the mask's lower bits, so the eight stores of
 // a block do not wait on each other; an empty block stores nothing.
-__attribute__((target("avx512f,avx512bw,popcnt"))) inline std::size_t
-append_held_avx512(const sync::TasCell* cells, std::uint64_t n,
-                   std::vector<std::uint64_t>& out, std::uint64_t base = 0) {
-  static_assert(sizeof(sync::TasCell) == 1,
-                "vector scans require dense 1-byte slots");
+template <typename Source>
+__attribute__((target("avx512f,avx512bw,popcnt"))) std::size_t append_avx512(
+    const Source& src, std::vector<std::uint64_t>& out,
+    std::uint64_t base = 0) {
   constexpr std::uint64_t kChunkBlocks = 64;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(cells);
   const std::size_t before = out.size();
   __m512i lanes[8];
   for (int g = 0; g < 8; ++g) {
@@ -246,13 +278,12 @@ append_held_avx512(const sync::TasCell* cells, std::uint64_t n,
                                 _mm512_set1_epi64(8 * g));
   }
   std::uint64_t bits[kChunkBlocks] = {};
-  std::uint64_t i = 0;
-  while (n - i >= 64) {
-    const std::uint64_t blocks = std::min(kChunkBlocks, (n - i) / 64);
+  const std::uint64_t total = src.blocks();
+  for (std::uint64_t first = 0; first < total; first += kChunkBlocks) {
+    const std::uint64_t blocks = std::min(kChunkBlocks, total - first);
     std::size_t held = 0;
     for (std::uint64_t b = 0; b < blocks; ++b) {
-      const __m512i v = _mm512_loadu_si512(bytes + i + 64 * b);
-      bits[b] = _mm512_test_epi8_mask(v, v);
+      bits[b] = src.vector_mask(first + b);
       held += static_cast<std::size_t>(_mm_popcnt_u64(bits[b]));
     }
     const std::size_t at = out.size();
@@ -262,7 +293,7 @@ append_held_avx512(const sync::TasCell* cells, std::uint64_t n,
       const std::uint64_t m = bits[b];
       if (m == 0) continue;  // sparse stretches: LevelArray's upper batches
       const __m512i block =
-          _mm512_set1_epi64(static_cast<long long>(base + i + 64 * b));
+          _mm512_set1_epi64(static_cast<long long>(base + 64 * (first + b)));
       for (int g = 0; g < 8; ++g) {
         const std::uint64_t below = (std::uint64_t{1} << (8 * g)) - 1;
         _mm512_storeu_si512(
@@ -273,30 +304,31 @@ append_held_avx512(const sync::TasCell* cells, std::uint64_t n,
       dst += _mm_popcnt_u64(m);
     }
     out.resize(at + held);
-    i += 64 * blocks;
-  }
-  for (; i < n; ++i) {
-    if (cells[i].held()) out.push_back(base + i);
   }
   return out.size() - before;
 }
 #endif
 
-// Appends base + index for every held slot to out, ascending; returns how
-// many it appended (out's existing contents are kept). The one collect
-// body every dense TasCell structure shares: the vector body where the
-// CPU has it, the word body elsewhere.
+// Appends base + index for every slot src reports held, ascending, with
+// the vector body where the CPU has it and the scalar body elsewhere.
+template <typename Source>
+std::size_t append(const Source& src, std::vector<std::uint64_t>& out,
+                   std::uint64_t base = 0) {
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (avx512_supported()) return append_avx512(src, out, base);
+#endif
+  return append_words(src, out, base);
+}
+
+// The collect every dense TasCell structure shares.
 inline std::size_t append_held(const sync::TasCell* cells, std::uint64_t n,
                                std::vector<std::uint64_t>& out,
                                std::uint64_t base = 0) {
-#if defined(LA_SLOT_SCAN_AVX512)
-  if (avx512_supported()) return append_held_avx512(cells, n, out, base);
-#endif
-  return append_held_words(cells, n, out, base);
+  return append(HeldBytes{cells, n}, out, base);
 }
 
-// Which append_held body runs in this build on this CPU: "avx512",
-// "words", or "bytes" where the word load is itself bytewise.
+// Which body append runs in this build on this CPU, for either source:
+// "avx512", "words", or "bytes" where the word load is itself bytewise.
 inline const char* append_held_kernel() {
 #if defined(LA_SLOT_SCAN_AVX512)
   if (avx512_supported()) return "avx512";
@@ -306,6 +338,15 @@ inline const char* append_held_kernel() {
 #else
   return "words";
 #endif
+}
+
+inline std::uint64_t count_held(const sync::TasCell* cells, std::uint64_t n) {
+  const HeldBytes src{cells, n};
+  std::uint64_t count = 0;
+  for (std::uint64_t b = 0; b < src.blocks(); ++b) {
+    count += static_cast<std::uint64_t>(__builtin_popcountll(src.mask(b)));
+  }
+  return count;
 }
 
 // Index of the first clear slot, or n if every slot is held.
@@ -374,24 +415,6 @@ std::size_t claim_clear(sync::TasCell* cells, std::uint64_t begin,
     }
   }
   return claimed;
-}
-
-// --- bit-domain sibling -------------------------------------------------
-
-// Same contract as for_each_held for the bit-per-slot layout: fn(index)
-// for every set bit across `words`, ascending. The caller guarantees bits
-// past its logical slot count are never set (the BitmapActivityArray
-// invariant), so no bound beyond the word count is needed.
-template <typename Fn>
-void for_each_set_bit(const la::detail::atomic<std::uint64_t>* words,
-                      std::uint64_t word_count, Fn&& fn) {
-  for (std::uint64_t w = 0; w < word_count; ++w) {
-    std::uint64_t bits = words[w].load(std::memory_order_relaxed);
-    while (bits != 0) {
-      fn(w * 64 + static_cast<std::uint64_t>(__builtin_ctzll(bits)));
-      bits &= bits - 1;
-    }
-  }
 }
 
 }  // namespace la::core::slot_scan

@@ -1,12 +1,15 @@
 // Scan-engine parity: the word engine (8 slots per load, SWAR masks,
-// 64-slot held-bitmap fold) and every append_held body this host can run
-// (the word body always, the AVX-512 body where the CPU has it) must
-// agree with the per-byte reference on every occupancy pattern — in
-// particular around word, block and 64-block chunk boundaries and tail
-// remainders, where SWAR and compress-store bugs live (the
-// borrow-propagating zero-byte mask this suite was written against
-// misclassified bytes above the first clear slot).
+// 64-slot held-bitmap fold) and every collect body this host can run (the
+// scalar body always, the AVX-512 body where the CPU has it), fed by
+// either mask source, must agree with a per-slot reference on every
+// occupancy pattern — in particular around word, block and 64-block chunk
+// boundaries and tail remainders, where SWAR and compress-store bugs live
+// (the borrow-propagating zero-byte mask this suite was written against
+// misclassified bytes above the first clear slot). The byte domain's
+// oracle is the per-byte reference engine, the bit domain's a per-bit
+// loop.
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -31,18 +34,43 @@ int failures = 0;
   } while (0)
 
 using la::core::slot_scan::append_held;
-using la::core::slot_scan::append_held_words;
 using la::core::slot_scan::count_held;
 using la::core::slot_scan::count_held_bytewise;
 using la::core::slot_scan::find_first_clear;
 using la::core::slot_scan::find_first_clear_bytewise;
-using la::core::slot_scan::for_each_held;
 using la::core::slot_scan::for_each_held_bytewise;
+using la::core::slot_scan::HeldBits;
+using la::core::slot_scan::HeldBytes;
+
+template <typename Source>
+struct Body {
+  const char* name;
+  std::size_t (*fn)(const Source&, std::vector<std::uint64_t>&,
+                    std::uint64_t);
+};
+
+// Every collect body this build can run on this CPU for one mask source,
+// plus the dispatching entry point itself.
+template <typename Source>
+std::vector<Body<Source>> collect_bodies() {
+  std::vector<Body<Source>> bodies = {
+      {"words", &la::core::slot_scan::append_words<Source>}};
+#if defined(LA_SLOT_SCAN_AVX512)
+  if (la::core::slot_scan::avx512_supported()) {
+    bodies.push_back({"avx512", &la::core::slot_scan::append_avx512<Source>});
+  }
+#endif
+  bodies.push_back({"dispatch", &la::core::slot_scan::append<Source>});
+  return bodies;
+}
+
+const std::vector<Body<HeldBytes>> kByteBodies = collect_bodies<HeldBytes>();
+const std::vector<Body<HeldBits>> kBitBodies = collect_bodies<HeldBits>();
 
 std::vector<std::uint64_t> collect_word(const la::sync::TasCell* cells,
                                         std::uint64_t n) {
   std::vector<std::uint64_t> out;
-  for_each_held(cells, n, [&](std::uint64_t i) { out.push_back(i); });
+  la::core::slot_scan::append_words(HeldBytes{cells, n}, out);
   return out;
 }
 
@@ -53,48 +81,43 @@ std::vector<std::uint64_t> collect_byte(const la::sync::TasCell* cells,
   return out;
 }
 
-using AppendBody = std::size_t (*)(const la::sync::TasCell*, std::uint64_t,
-                                   std::vector<std::uint64_t>&,
-                                   std::uint64_t);
-
-struct Body {
-  const char* name;
-  AppendBody fn;
-};
-
-// Every append_held body this build can run on this CPU, plus the
-// dispatching entry point itself.
-std::vector<Body> append_bodies() {
-  std::vector<Body> bodies = {{"words", &append_held_words}};
-#if defined(LA_SLOT_SCAN_AVX512)
-  if (la::core::slot_scan::avx512_supported()) {
-    bodies.push_back({"avx512", &la::core::slot_scan::append_held_avx512});
-  }
-#endif
-  bodies.push_back({"dispatch", &append_held});
-  return bodies;
-}
-
-const std::vector<Body> kBodies = append_bodies();
-
-// Each body against the byte oracle: into an empty vector from index 0,
-// and behind a non-empty prefix with a base offset (the sharded
+// Each body against an oracle's output: into an empty vector from index
+// 0, and behind a non-empty prefix with a base offset (the sharded
 // per-shard form), which must keep the prefix and return only what it
 // appended.
-void check_append(const la::sync::TasCell* cells, std::uint64_t n) {
-  const std::vector<std::uint64_t> expected = collect_byte(cells, n);
-  for (const Body& body : kBodies) {
+template <typename Source>
+void check_bodies(const std::vector<Body<Source>>& bodies, const Source& src,
+                  const std::vector<std::uint64_t>& expected) {
+  for (const Body<Source>& body : bodies) {
     std::vector<std::uint64_t> out;
-    CHECK(body.fn(cells, n, out, 0) == expected.size());
+    CHECK(body.fn(src, out, 0) == expected.size());
     CHECK(out == expected);
 
     const std::uint64_t base = 1000003;
     std::vector<std::uint64_t> prefixed = {9, 8, 7};
     std::vector<std::uint64_t> want = prefixed;
     for (const auto i : expected) want.push_back(base + i);
-    CHECK(body.fn(cells, n, prefixed, base) == expected.size());
+    CHECK(body.fn(src, prefixed, base) == expected.size());
     CHECK(prefixed == want);
   }
+}
+
+void check_append(const la::sync::TasCell* cells, std::uint64_t n) {
+  check_bodies(kByteBodies, HeldBytes{cells, n}, collect_byte(cells, n));
+}
+
+// Every bit-domain body against a per-bit reference on one packed-word
+// pattern.
+void check_bits(const std::vector<std::uint64_t>& pattern) {
+  std::vector<std::atomic<std::uint64_t>> words(pattern.size());
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t w = 0; w < pattern.size(); ++w) {
+    words[w].store(pattern[w], std::memory_order_relaxed);
+    for (unsigned k = 0; k < 64; ++k) {
+      if ((pattern[w] >> k) & 1) expected.push_back(64 * w + k);
+    }
+  }
+  check_bodies(kBitBodies, HeldBits{words.data(), words.size()}, expected);
 }
 
 // Word vs byte on one concrete occupancy pattern.
@@ -124,9 +147,12 @@ int main() {
   using namespace la;
 
   std::printf("test_slot_scan: append_held bodies:");
-  for (const Body& body : kBodies) std::printf(" %s", body.name);
+  for (const auto& body : kByteBodies) std::printf(" %s", body.name);
   std::printf(" (dispatch runs %s)\n",
               la::core::slot_scan::append_held_kernel());
+  std::printf("test_slot_scan: bit-domain bodies:");
+  for (const auto& body : kBitBodies) std::printf(" %s", body.name);
+  std::printf("\n");
 
   // Word- and block-boundary and tail-remainder sizes, the vector body's
   // 64-block chunk boundary (4096 slots) from both sides, and two chunks
@@ -255,6 +281,35 @@ int main() {
     std::uint64_t sum = 0;
     for (const auto count : array.batch_occupancy()) sum += count;
     CHECK(sum == held.size());
+  }
+
+  // --- bit domain: every word count from 1 to 130 (across the vector
+  // body's 64-word chunk boundary, and two chunks plus a tail) ---------
+  check_bits({});
+  for (std::uint64_t words = 1; words <= 130; ++words) {
+    check_bits(std::vector<std::uint64_t>(words, 0));
+    check_bits(std::vector<std::uint64_t>(words, ~std::uint64_t{0}));
+    for (const std::uint64_t bit :
+         {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{8},
+          std::uint64_t{63}, std::uint64_t{64}, std::uint64_t{64 * 63 + 63},
+          std::uint64_t{64 * 64}, 64 * words - 1}) {
+      if (bit >= 64 * words) continue;
+      std::vector<std::uint64_t> one(words, 0);
+      one[bit / 64] = std::uint64_t{1} << (bit % 64);
+      check_bits(one);
+    }
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t density_pct = rng::bounded(rng, 101);
+      std::vector<std::uint64_t> pattern(words, 0);
+      for (auto& word : pattern) {
+        for (unsigned k = 0; k < 64; ++k) {
+          if (rng::bounded(rng, 100) < density_pct) {
+            word |= std::uint64_t{1} << k;
+          }
+        }
+      }
+      check_bits(pattern);
+    }
   }
 
   // --- bitmap bit-domain engine agrees with its own byte-domain twin --
